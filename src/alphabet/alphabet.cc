@@ -30,6 +30,16 @@ Alphabet Alphabet::Ascii() {
   return Alphabet(Kind::kAscii, letters, false);
 }
 
+std::optional<Alphabet> Alphabet::FromKind(uint32_t code) {
+  switch (code) {
+    case static_cast<uint32_t>(Kind::kDna): return Dna();
+    case static_cast<uint32_t>(Kind::kProtein): return Protein();
+    case static_cast<uint32_t>(Kind::kByte): return Byte();
+    case static_cast<uint32_t>(Kind::kAscii): return Ascii();
+  }
+  return std::nullopt;
+}
+
 Alphabet::Alphabet(Kind kind, std::string_view letters, bool fold_case)
     : kind_(kind) {
   encode_.fill(kInvalidCode);

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -33,6 +34,9 @@ class Alphabet {
   // the compact index (whose rib slots hold 7-bit character labels)
   // cover plain text.
   static Alphabet Ascii();
+  // The alphabet a persisted kind code (static_cast<uint32_t>(kind()))
+  // names; nullopt for codes no Kind has.
+  static std::optional<Alphabet> FromKind(uint32_t code);
 
   Kind kind() const { return kind_; }
   // Number of distinct codes.

@@ -85,21 +85,15 @@ class CompactSpineSerializer {
     if (!r.Pod(&version) || version != kVersion) {
       return Status::Corruption("unsupported version in " + path);
     }
-    if (!r.Pod(&kind) || kind > 3) {
+    std::optional<Alphabet> alphabet;
+    if (!r.Pod(&kind) || !(alphabet = Alphabet::FromKind(kind))) {
       return Status::Corruption("bad alphabet kind in " + path);
     }
-    switch (static_cast<Alphabet::Kind>(kind)) {
-      case Alphabet::Kind::kDna:
-        return Alphabet::Dna();
-      case Alphabet::Kind::kProtein:
-        return Alphabet::Protein();
-      case Alphabet::Kind::kByte:
-        return Status::Corruption(
-            "compact images do not support the byte alphabet");
-      case Alphabet::Kind::kAscii:
-        return Alphabet::Ascii();
+    if (alphabet->kind() == Alphabet::Kind::kByte) {
+      return Status::Corruption(
+          "compact images do not support the byte alphabet");
     }
-    return Status::Corruption("bad alphabet kind in " + path);
+    return *alphabet;
   }
 
   // Shared post-parse geometry checks (run on both open paths, in the

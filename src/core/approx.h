@@ -39,6 +39,7 @@
 #include "common/cancel.h"
 #include "core/search.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "plan/planner.h"
 
 namespace spine {
@@ -80,8 +81,10 @@ struct ApproxSearchStats {
   bool seeded = false;      // true when the seed path ran
 };
 
-// Records one approximate query's evidence into the metrics registry.
-inline void RecordApproxObs(const ApproxSearchStats& stats) {
+// Records one approximate query's evidence into the metrics registry
+// and, when `trace` is non-null, as trace notes.
+inline void RecordApproxObs(const ApproxSearchStats& stats,
+                            obs::TraceContext* trace) {
   if (stats.seeded) {
     SPINE_OBS_COUNT("approx.seeded", 1);
   } else {
@@ -91,6 +94,12 @@ inline void RecordApproxObs(const ApproxSearchStats& stats) {
   SPINE_OBS_COUNT("approx.verified", stats.verified);
 #if defined(SPINE_OBS_DISABLED)
   (void)stats;
+  (void)trace;
+#else
+  if (trace != nullptr) {
+    trace->Note("approx_candidates", stats.candidates);
+    trace->Note("approx_seed_len", stats.seed_len);
+  }
 #endif
 }
 
@@ -197,8 +206,7 @@ std::vector<ApproxHit> GenericFindMismatch(
 
 // All windows whose best prefix is within `max_edits` Levenshtein
 // distance of `pattern`. Each hit reports the best (fewest edits, then
-// shortest) prefix length and its edit count — align/approximate.h
-// semantics, now behind the unified Query API.
+// shortest) prefix length and its edit count.
 template <CodeAddressable Index>
 std::vector<ApproxHit> GenericFindEditDistance(
     const Index& index, std::string_view pattern, uint32_t max_edits,

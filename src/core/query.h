@@ -145,6 +145,43 @@ struct QueryResult {
   }
 };
 
+// Records one answered query's obs: the per-kind query counter, the
+// paper's Table 6 work counters (accumulated across all queries and
+// all backends; work done before a fault or a stop still counts) and,
+// when `trace` is non-null, the work counters as trace notes. Every
+// path that answers a logical query calls it exactly once: ExecuteQuery,
+// the adapters that bypass it, and the shard merge (which runs the
+// generics per source and would otherwise count one query K times).
+inline void RecordQueryObs(const Query& query, const QueryResult& result,
+                           obs::TraceContext* trace) {
+#if !defined(SPINE_OBS_DISABLED)
+  // The per-kind counter cannot go through SPINE_OBS_COUNT (the name is
+  // dynamic), so all kQueryKindCount resolve once.
+  static obs::Counter* const kind_counters[kQueryKindCount] = {
+      &obs::Registry::Default().GetCounter("core.queries.contains"),
+      &obs::Registry::Default().GetCounter("core.queries.findall"),
+      &obs::Registry::Default().GetCounter("core.queries.match"),
+      &obs::Registry::Default().GetCounter("core.queries.ms"),
+      &obs::Registry::Default().GetCounter("core.queries.mismatch"),
+      &obs::Registry::Default().GetCounter("core.queries.editdist"),
+  };
+  kind_counters[static_cast<size_t>(query.kind)]->Add(1);
+  SPINE_OBS_COUNT("core.vertebra_steps", result.stats.nodes_checked);
+  SPINE_OBS_COUNT("core.link_traversals", result.stats.link_traversals);
+  SPINE_OBS_COUNT("core.chain_hops", result.stats.chain_hops);
+  if (trace != nullptr) {
+    trace->Note("nodes_checked", result.stats.nodes_checked);
+    trace->Note("link_traversals", result.stats.link_traversals);
+    trace->Note("chain_hops", result.stats.chain_hops);
+    trace->Note("found", result.found ? 1 : 0);
+  }
+#else
+  (void)query;
+  (void)result;
+  (void)trace;
+#endif
+}
+
 // Backends whose I/O layer latches errors instead of throwing/aborting
 // (storage::DiskSpine). ExecuteQuery drains the latch after running the
 // search and converts it into a per-query error result.
@@ -279,11 +316,7 @@ QueryResult ExecuteQuery(const Index& index, const Query& query,
           result.hits.push_back({hit.pos, hit.length, hit.errors});
         }
         result.found = !result.hits.empty();
-        RecordApproxObs(approx_stats);
-        if (trace != nullptr) {
-          trace->Note("approx_candidates", approx_stats.candidates);
-          trace->Note("approx_seed_len", approx_stats.seed_len);
-        }
+        RecordApproxObs(approx_stats, trace);
       } else {
         // Adapters route unsupported kinds away before dispatch
         // (Capabilities::query_kinds); this is the belt to that brace.
@@ -294,33 +327,7 @@ QueryResult ExecuteQuery(const Index& index, const Query& query,
       break;
     }
   }
-#if !defined(SPINE_OBS_DISABLED)
-  {
-    // The paper's Table 6 work counters, accumulated across all queries
-    // and all backends; work done before a latched fault still counts.
-    // The per-kind counter cannot go through SPINE_OBS_COUNT (the name
-    // is dynamic), so it resolves all kQueryKindCount once per
-    // instantiation.
-    static obs::Counter* const kind_counters[kQueryKindCount] = {
-        &obs::Registry::Default().GetCounter("core.queries.contains"),
-        &obs::Registry::Default().GetCounter("core.queries.findall"),
-        &obs::Registry::Default().GetCounter("core.queries.match"),
-        &obs::Registry::Default().GetCounter("core.queries.ms"),
-        &obs::Registry::Default().GetCounter("core.queries.mismatch"),
-        &obs::Registry::Default().GetCounter("core.queries.editdist"),
-    };
-    kind_counters[static_cast<size_t>(query.kind)]->Add(1);
-    SPINE_OBS_COUNT("core.vertebra_steps", result.stats.nodes_checked);
-    SPINE_OBS_COUNT("core.link_traversals", result.stats.link_traversals);
-    SPINE_OBS_COUNT("core.chain_hops", result.stats.chain_hops);
-    if (trace != nullptr) {
-      trace->Note("nodes_checked", result.stats.nodes_checked);
-      trace->Note("link_traversals", result.stats.link_traversals);
-      trace->Note("chain_hops", result.stats.chain_hops);
-      trace->Note("found", result.found ? 1 : 0);
-    }
-  }
-#endif
+  RecordQueryObs(query, result, trace);
   if constexpr (IoLatchedIndex<Index>) {
     Status status = index.ConsumeError();
     if (!status.ok()) {

@@ -53,6 +53,9 @@
 // separator byte ('\n' or '\x1f') are rejected with kInvalidArgument —
 // they could otherwise match across document boundaries, which is
 // composition-dependent nonsense — and never answered silently wrong.
+// Every frozen shard and the memtable are one shard/merge.h Source
+// each (dead documents map to kDeadPosition), so the family shares its
+// per-kind merge with shard::ShardedIndex.
 
 #ifndef SPINE_SHARD_DYNAMIC_FAMILY_H_
 #define SPINE_SHARD_DYNAMIC_FAMILY_H_
@@ -181,7 +184,7 @@ class DynamicFamily final : public core::MutableIndex {
   void KickBackground();
 
   // The shared implementation of Execute for the family and its
-  // pinned snapshots.
+  // pinned snapshots: admission, the memtable lock, then the merge.
   static QueryResult ExecuteOnGeneration(const Generation& generation,
                                          const Query& query,
                                          obs::TraceContext* trace,

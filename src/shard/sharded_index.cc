@@ -4,90 +4,27 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "common/crc32c.h"
 #include "common/serde.h"
 #include "compact/serializer.h"
-#include "core/approx.h"
-#include "core/matcher.h"
-#include "core/search.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
+#include "shard/files.h"
+#include "shard/merge.h"
 
 namespace spine::shard {
 
 namespace {
 
+using internal::BaseName;
+using internal::ReadFileBytes;
+using internal::SiblingPath;
+
 // Backstop against corrupt manifests claiming absurd shard counts.
 constexpr uint32_t kMaxShards = 1u << 20;
-
-std::string DirName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash);
-}
-
-std::string BaseName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("failed reading " + path);
-  return std::move(buffer).str();
-}
-
-Result<Alphabet> AlphabetFromKindCode(uint32_t code) {
-  switch (static_cast<Alphabet::Kind>(code)) {
-    case Alphabet::Kind::kDna: return Alphabet::Dna();
-    case Alphabet::Kind::kProtein: return Alphabet::Protein();
-    case Alphabet::Kind::kByte: return Alphabet::Byte();
-    case Alphabet::Kind::kAscii: return Alphabet::Ascii();
-  }
-  return Status::Corruption("unknown alphabet kind " + std::to_string(code));
-}
-
-// Mirrors the observability block of core/query.h ExecuteQuery: the
-// family answers a query with direct generic-algorithm calls (never
-// per-shard ExecuteQuery, which would count one logical query K
-// times), so it reports the per-kind counter and aggregated work
-// counters itself.
-void RecordFamilyObs(const Query& query, const QueryResult& result,
-                     obs::TraceContext* trace) {
-#if !defined(SPINE_OBS_DISABLED)
-  static obs::Counter* const kind_counters[kQueryKindCount] = {
-      &obs::Registry::Default().GetCounter("core.queries.contains"),
-      &obs::Registry::Default().GetCounter("core.queries.findall"),
-      &obs::Registry::Default().GetCounter("core.queries.match"),
-      &obs::Registry::Default().GetCounter("core.queries.ms"),
-      &obs::Registry::Default().GetCounter("core.queries.mismatch"),
-      &obs::Registry::Default().GetCounter("core.queries.editdist"),
-  };
-  kind_counters[static_cast<size_t>(query.kind)]->Add(1);
-  SPINE_OBS_COUNT("core.vertebra_steps", result.stats.nodes_checked);
-  SPINE_OBS_COUNT("core.link_traversals", result.stats.link_traversals);
-  SPINE_OBS_COUNT("core.chain_hops", result.stats.chain_hops);
-  if (trace != nullptr) {
-    trace->Note("nodes_checked", result.stats.nodes_checked);
-    trace->Note("link_traversals", result.stats.link_traversals);
-    trace->Note("chain_hops", result.stats.chain_hops);
-    trace->Note("found", result.found ? 1 : 0);
-  }
-#else
-  (void)query;
-  (void)result;
-  (void)trace;
-#endif
-}
 
 }  // namespace
 
@@ -172,7 +109,7 @@ QueryResult ShardedIndex::Execute(const Query& query,
   if (approx_kind && (query.pattern.empty() ||
                       query.max_errors >= query.pattern.size())) {
     QueryResult empty;
-    RecordFamilyObs(query, empty, trace);
+    RecordQueryObs(query, empty, trace);
     return empty;
   }
   // Admission: a longer pattern could straddle a shard boundary without
@@ -201,194 +138,22 @@ QueryResult ShardedIndex::Execute(const Query& query,
   }
   if (trace != nullptr) trace->Note("shard_fanout", shard_count());
 #endif
-  QueryResult result;
-  switch (query.kind) {
-    case QueryKind::kContains:
-      result = ExecuteContains(query, cancel);
-      break;
-    case QueryKind::kFindAll:
-      result = ExecuteFindAll(query, cancel);
-      break;
-    case QueryKind::kMaximalMatches:
-      result = ExecuteMaximalMatches(query, cancel);
-      break;
-    case QueryKind::kMatchingStats:
-      result = ExecuteMatchingStats(query, cancel);
-      break;
-    case QueryKind::kMismatch:
-    case QueryKind::kEditDistance:
-      result = ExecuteApprox(query, cancel);
-      break;
-  }
-  RecordFamilyObs(query, result, trace);
-  // A fired token invalidates whatever partial merge the walks left.
-  if (cancel != nullptr) {
-    Status status = cancel->ToStatus();
-    if (!status.ok()) {
-      QueryResult timed_out;
-      timed_out.stats = result.stats;
-      timed_out.status_code = status.code();
-      timed_out.error = std::string(status.message());
-      return timed_out;
-    }
-  }
-  return result;
-}
-
-QueryResult ShardedIndex::ExecuteContains(const Query& query,
-                                          const CancelToken* cancel) const {
-  QueryResult result;
+  std::vector<Source> sources;
+  sources.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    // Warm the next shard's root Link Table line while this shard
-    // walks; shards are probed strictly in order on the miss path.
-    if (i + 1 < shards_.size()) shards_[i + 1].PrefetchNode(kRootNode);
-    if (GenericFindFirstEnd(shards_[i], query.pattern, &result.stats, cancel)
-            .has_value()) {
-      result.found = true;
-      break;
-    }
+    // Admission guarantees every window starting in shard i's core range
+    // lies inside slice i, so the core range owns exactly those windows.
+    const uint64_t core_start = infos_[i].core_start;
+    Source source;
+    source.index = &shards_[i];
+    source.to_global = [core_start](uint64_t pos) {
+      return static_cast<int64_t>(core_start + pos);
+    };
+    source.owned_begin = core_start;
+    source.owned_end = infos_[i].core_end;
+    sources.push_back(std::move(source));
   }
-  return result;
-}
-
-QueryResult ShardedIndex::ExecuteFindAll(const Query& query,
-                                         const CancelToken* cancel) const {
-  QueryResult result;
-  if (!query.pattern.empty()) {
-    const uint32_t m = static_cast<uint32_t>(query.pattern.size());
-    std::vector<std::vector<uint32_t>> local(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      local[i] =
-          GenericFindAll(shards_[i], query.pattern, &result.stats, cancel);
-    }
-    SPINE_OBS_SCOPED_TIMER_US("shard.merge_us");
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      for (uint32_t pos : local[i]) {
-        // Keep an occurrence only in the shard whose core range owns
-        // its start; overlap copies are the next shard's problem.
-        const uint64_t global = infos_[i].core_start + pos;
-        if (global < infos_[i].core_end) {
-          result.hits.push_back({static_cast<uint32_t>(global), m, 0});
-        }
-      }
-    }
-  }
-  result.found = !result.hits.empty();
-  return result;
-}
-
-std::vector<uint32_t> ShardedIndex::MergedMatchingStats(
-    std::string_view pattern, SearchStats* stats,
-    const CancelToken* cancel) const {
-  std::vector<uint32_t> merged(pattern.size(), 0);
-  for (const CompactSpineIndex& shard : shards_) {
-    const std::vector<uint32_t> local =
-        GenericMatchingStatistics(shard, pattern, stats, cancel);
-    for (size_t q = 0; q < merged.size(); ++q) {
-      merged[q] = std::max(merged[q], local[q]);
-    }
-  }
-  return merged;
-}
-
-QueryResult ShardedIndex::ExecuteMatchingStats(
-    const Query& query, const CancelToken* cancel) const {
-  QueryResult result;
-  result.matching_stats =
-      MergedMatchingStats(query.pattern, &result.stats, cancel);
-  {
-    SPINE_OBS_SCOPED_TIMER_US("shard.merge_us");
-    result.found = std::any_of(result.matching_stats.begin(),
-                               result.matching_stats.end(),
-                               [](uint32_t v) { return v > 0; });
-  }
-  return result;
-}
-
-QueryResult ShardedIndex::ExecuteMaximalMatches(
-    const Query& query, const CancelToken* cancel) const {
-  const uint32_t min_len = std::max<uint32_t>(query.min_len, 1);
-  const std::string_view pattern = query.pattern;
-  QueryResult result;
-  // Since no match can exceed the admitted pattern length (<= margin),
-  // the merged statistics equal the monolithic ones, and the maximal
-  // matches are exactly the positions where ms[q] >= min_len and
-  // ms[q-1] <= ms[q] (see core/matcher.h).
-  const std::vector<uint32_t> ms =
-      MergedMatchingStats(pattern, &result.stats, cancel);
-  SPINE_OBS_SCOPED_TIMER_US("shard.merge_us");
-  CancelCheckpoint checkpoint(cancel);
-  for (uint32_t q = 0; q < ms.size(); ++q) {
-    if (checkpoint.ShouldStop()) break;
-    const uint32_t len = ms[q];
-    if (len < min_len) continue;
-    if (q > 0 && ms[q - 1] > len) continue;  // inside an earlier match
-    const std::string_view sub = pattern.substr(q, len);
-    if (query.expand_occurrences) {
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        for (uint32_t pos :
-             GenericFindAll(shards_[i], sub, &result.stats, cancel)) {
-          const uint64_t global = infos_[i].core_start + pos;
-          if (global < infos_[i].core_end) {
-            result.hits.push_back({static_cast<uint32_t>(global), len, q});
-          }
-        }
-      }
-    } else {
-      uint32_t first = std::numeric_limits<uint32_t>::max();
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        const std::optional<NodeId> end =
-            GenericFindFirstEnd(shards_[i], sub, &result.stats, cancel);
-        if (end.has_value()) {
-          first = std::min(
-              first, static_cast<uint32_t>(infos_[i].core_start + *end - len));
-        }
-      }
-      if (first == std::numeric_limits<uint32_t>::max()) continue;
-      result.hits.push_back({first, len, q});
-    }
-  }
-  result.found = !result.hits.empty();
-  return result;
-}
-
-QueryResult ShardedIndex::ExecuteApprox(const Query& query,
-                                        const CancelToken* cancel) const {
-  QueryResult result;
-  // Admission guarantees a window starting in shard i's core range lies
-  // entirely inside slice i, so per-shard hits kept by the ownership
-  // filter were verified on complete windows — identical to the
-  // monolithic answer.
-  ApproxSearchStats family_stats;
-  std::vector<std::vector<ApproxHit>> local(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    ApproxSearchStats shard_stats;
-    local[i] = query.kind == QueryKind::kMismatch
-                   ? GenericFindMismatch(shards_[i], query.pattern,
-                                         query.max_errors, &result.stats,
-                                         &shard_stats, cancel)
-                   : GenericFindEditDistance(shards_[i], query.pattern,
-                                             query.max_errors, &result.stats,
-                                             &shard_stats, cancel);
-    family_stats.candidates += shard_stats.candidates;
-    family_stats.seeded = family_stats.seeded || shard_stats.seeded;
-    family_stats.seed_len =
-        std::max(family_stats.seed_len, shard_stats.seed_len);
-  }
-  SPINE_OBS_SCOPED_TIMER_US("shard.merge_us");
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    for (const ApproxHit& hit : local[i]) {
-      const uint64_t global = infos_[i].core_start + hit.pos;
-      if (global < infos_[i].core_end) {
-        result.hits.push_back(
-            {static_cast<uint32_t>(global), hit.length, hit.errors});
-      }
-    }
-  }
-  result.found = !result.hits.empty();
-  family_stats.verified = result.hits.size();
-  RecordApproxObs(family_stats);
-  return result;
+  return ExecuteMerged(sources, query, trace, cancel);
 }
 
 Status ShardedIndex::CheckMappingFence() const {
@@ -533,8 +298,10 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
       !reader.Pod(&shards) || !reader.Pod(&max_pattern)) {
     return corrupt("truncated manifest");
   }
-  Result<Alphabet> alphabet = AlphabetFromKindCode(alphabet_code);
-  if (!alphabet.ok()) return corrupt(std::string(alphabet.status().message()));
+  const std::optional<Alphabet> alphabet = Alphabet::FromKind(alphabet_code);
+  if (!alphabet.has_value()) {
+    return corrupt("unknown alphabet kind " + std::to_string(alphabet_code));
+  }
   if (shards == 0 || shards > kMaxShards) {
     return corrupt("implausible shard count " + std::to_string(shards));
   }
@@ -578,10 +345,8 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
       new ShardedIndex(*alphabet, n, max_pattern));
   family->infos_ = std::move(infos);
   family->shards_.reserve(shards);
-  const std::string dir = DirName(path);
   for (uint32_t i = 0; i < shards; ++i) {
-    const std::string shard_path =
-        dir.empty() ? names[i] : dir + "/" + names[i];
+    const std::string shard_path = SiblingPath(path, names[i]);
     Result<CompactSpineIndex> index = Status::OK();
     if (options.mode == core::OpenMode::kMmap) {
       // Zero-copy: map the shard image and borrow its tables. The

@@ -6,27 +6,11 @@
 // [core_start, min(n, core_end + max_pattern)): the extra max_pattern
 // characters (the overlap margin) guarantee that any pattern of length
 // m <= max_pattern starting inside a core range lies entirely inside
-// that shard's slice. With that invariant every query kind merges
-// exactly:
-//
-//   contains  OR over shards (early exit on the first hit);
-//   findall   per-shard FindAll mapped by +core_start, kept only when
-//             the global start falls in the shard's core range (drops
-//             overlap duplicates), concatenated in shard order — the
-//             result is globally ascending, byte-identical to the
-//             monolithic answer;
-//   ms        elementwise max of per-shard matching statistics (a
-//             matching substring lives wholly in some slice, and every
-//             per-shard statistic is a true global lower bound);
-//   match     derived from the merged ms exactly where the monolithic
-//             matcher reports: ms[q] >= min_len and (q == 0 or
-//             ms[q-1] <= ms[q]); occurrence positions come from
-//             per-shard lookups of the matched substring.
-//   mismatch/ per-shard generic seed-and-extend (core/approx.h) over
-//   edit      the slice, kept only when the window's start falls in the
-//             core range — the margin guarantees the full window (m
-//             characters, m + d for edit distance) is inside the slice,
-//             so kept hits are verified on complete windows.
+// that shard's slice. Each shard is therefore one shard/merge.h Source
+// that owns the occurrences starting in its core range (the overlap
+// copies belong to the next shard), and every query kind merges
+// exactly, byte-identical to the monolithic answer (merge.h lists the
+// per-kind rules).
 //
 // Patterns longer than max_pattern could straddle a boundary without
 // any shard seeing them whole, so Execute rejects them loudly with
@@ -118,10 +102,11 @@ class ShardedIndex final : public core::Index {
   }
   const Alphabet& alphabet() const override { return alphabet_; }
   uint64_t size() const override { return n_; }
-  // Merged per the header note. Emits shard.queries / shard.fanout /
-  // shard.merge_us metrics and a "shard_fanout" trace note. `cancel`
-  // is threaded into every per-shard generic walk, so a fired token
-  // stops mid-shard, not just between shards.
+  // Admits the query, then answers it through shard/merge.h. Emits
+  // shard.queries / shard.fanout metrics and a "shard_fanout" trace
+  // note; the merge adds shard.merge_us. `cancel` is threaded into
+  // every per-shard generic walk, so a fired token stops mid-shard, not
+  // just between shards.
   QueryResult Execute(const Query& query,
                       obs::TraceContext* trace = nullptr,
                       const CancelToken* cancel = nullptr) const override;
@@ -141,25 +126,6 @@ class ShardedIndex final : public core::Index {
  private:
   ShardedIndex(const Alphabet& alphabet, uint64_t n, uint32_t max_pattern)
       : alphabet_(alphabet), n_(n), max_pattern_(max_pattern) {}
-
-  QueryResult ExecuteContains(const Query& query,
-                              const CancelToken* cancel) const;
-  QueryResult ExecuteFindAll(const Query& query,
-                             const CancelToken* cancel) const;
-  QueryResult ExecuteMatchingStats(const Query& query,
-                                   const CancelToken* cancel) const;
-  QueryResult ExecuteMaximalMatches(const Query& query,
-                                    const CancelToken* cancel) const;
-  // kMismatch / kEditDistance: per-shard core/approx.h generics over the
-  // slices, deduplicated by core-range ownership like ExecuteFindAll.
-  QueryResult ExecuteApprox(const Query& query,
-                            const CancelToken* cancel) const;
-
-  // Elementwise-max merge of per-shard matching statistics; stats
-  // accumulate the per-shard search work.
-  std::vector<uint32_t> MergedMatchingStats(std::string_view pattern,
-                                            SearchStats* stats,
-                                            const CancelToken* cancel) const;
 
   // kIoError when any shard mapping's backing file shrank below its
   // mapped length (storage::MmapRegion::CheckFence); OK for heap-loaded

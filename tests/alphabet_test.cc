@@ -2,6 +2,8 @@
 
 #include "alphabet/alphabet.h"
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -86,6 +88,18 @@ TEST(AlphabetTest, EncodeString) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("offset 2"), std::string::npos);
+}
+
+// Persisted kind codes decode back to the alphabet that wrote them;
+// codes no Kind has decode to nothing.
+TEST(AlphabetTest, FromKindRoundTripsEveryCode) {
+  for (uint32_t code = 0; code <= 3; ++code) {
+    const std::optional<Alphabet> alphabet = Alphabet::FromKind(code);
+    ASSERT_TRUE(alphabet.has_value()) << code;
+    EXPECT_EQ(static_cast<uint32_t>(alphabet->kind()), code);
+  }
+  EXPECT_FALSE(Alphabet::FromKind(4).has_value());
+  EXPECT_FALSE(Alphabet::FromKind(UINT32_MAX).has_value());
 }
 
 class PackedStringTest : public ::testing::TestWithParam<uint32_t> {};

@@ -1,8 +1,9 @@
 // shard::ShardedIndex tests: exact equivalence with the monolithic
 // compact index on randomized DNA/protein corpora for every query kind
 // (boundary-straddling patterns included), loud pattern admission,
-// .spinefam save/load round-trips, bit-flip corruption detection, and
-// structural verification.
+// .spinefam save/load round-trips, bit-flip corruption detection,
+// structural verification, and the shared merge's fired-token rule on
+// both shard families.
 
 #include "shard/sharded_index.h"
 
@@ -15,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.h"
 #include "common/rng.h"
 #include "compact/compact_spine.h"
 #include "core/query.h"
+#include "shard/dynamic_family.h"
 #include "test_util.h"
 
 namespace spine::shard {
@@ -326,6 +329,72 @@ TEST(ShardedIndexTest, ManifestRejectsEscapingFilenames) {
   auto tampered = ShardedIndex::Load(path);
   EXPECT_FALSE(tampered.ok());
   EXPECT_EQ(tampered.status().code(), StatusCode::kCorruption);
+}
+
+// A fired token wins over whatever partial merge the walks left, for
+// every query kind on both families: the answer is the token's verdict
+// with no hits and no matching statistics. The dynamic family holds a
+// frozen shard with a tombstoned document (a dirty source) and a
+// memtable (a clean one), so both merge paths run.
+TEST(ShardMergeTest, FiredTokenWinsForEveryKindOnBothFamilies) {
+  Rng rng(4242);
+  const std::string text = RandomDna(rng, 1500);
+  auto sharded = ShardedIndex::Build(Alphabet::Dna(), text,
+                                     {.shards = 3, .max_pattern = 64});
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  ScopedTempDir dir;
+  auto dynamic = DynamicFamily::Create(dir.File("fam.spinefam"),
+                                       Alphabet::Dna(), {});
+  ASSERT_TRUE(dynamic.ok()) << dynamic.status().ToString();
+  ASSERT_TRUE((*dynamic)->InsertDocument(text.substr(0, 500)).ok());
+  ASSERT_TRUE((*dynamic)->InsertDocument(text.substr(500, 500)).ok());
+  ASSERT_TRUE((*dynamic)->Flush().ok());
+  ASSERT_TRUE((*dynamic)->DeleteDocument(0).ok());
+  ASSERT_TRUE((*dynamic)->InsertDocument(text.substr(1000, 500)).ok());
+  ASSERT_EQ((*dynamic)->frozen_shard_count(), 1u);
+  ASSERT_EQ((*dynamic)->memtable_documents(), 1u);
+  ASSERT_EQ((*dynamic)->tombstone_count(), 1u);
+
+  // Occurs in the live frozen document, so every kind has a payload.
+  const std::string pattern = text.substr(600, 14);
+  const std::vector<Query> queries = {
+      Query::Contains(pattern),
+      Query::FindAll(pattern),
+      Query::MatchingStats(pattern),
+      Query::MaximalMatches(pattern, 4),
+      Query::MaximalMatches(pattern, 4, /*expand=*/true),
+      Query::Mismatch(pattern, 2),
+      Query::EditDistance(pattern, 2)};
+  const struct {
+    const core::Index* index;
+    const char* name;
+  } families[] = {{sharded->get(), "sharded"}, {dynamic->get(), "dynamic"}};
+  for (const auto& family : families) {
+    for (const Query& query : queries) {
+      const std::string tag = std::string(family.name) + ", kind " +
+                              std::string(QueryKindName(query.kind));
+      const QueryResult unbounded = family.index->Execute(query);
+      ASSERT_TRUE(unbounded.ok()) << tag << ": " << unbounded.error;
+      EXPECT_TRUE(unbounded.found) << tag;
+
+      const CancelToken expired{Deadline::AfterMicros(0)};
+      const QueryResult late = family.index->Execute(query, nullptr, &expired);
+      EXPECT_EQ(late.status_code, StatusCode::kDeadlineExceeded) << tag;
+      EXPECT_FALSE(late.found) << tag;
+      EXPECT_TRUE(late.hits.empty()) << tag;
+      EXPECT_TRUE(late.matching_stats.empty()) << tag;
+
+      CancelToken cancelled;
+      cancelled.Cancel();
+      const QueryResult stopped =
+          family.index->Execute(query, nullptr, &cancelled);
+      EXPECT_EQ(stopped.status_code, StatusCode::kCancelled) << tag;
+      EXPECT_FALSE(stopped.found) << tag;
+      EXPECT_TRUE(stopped.hits.empty()) << tag;
+      EXPECT_TRUE(stopped.matching_stats.empty()) << tag;
+    }
+  }
 }
 
 }  // namespace

@@ -16,8 +16,6 @@
 #include <thread>
 
 #include "align/aligner.h"
-#include "align/approximate.h"
-#include "align/hamming.h"
 #include "common/cancel.h"
 #include "common/timer.h"
 #include "compact/compact_spine.h"
