@@ -1,29 +1,32 @@
-// Minimal POD/vector stream serialization shared by the index
-// serializers (compact/serializer.cc, storage/*.cc metadata sidecars).
+// Minimal POD/vector serialization shared by the index serializers
+// (compact/serializer.cc, compact/generalized_compact.cc, the shard
+// manifests, storage/*.cc metadata sidecars).
 //
-// Robustness properties (PR 2):
-//   - Writer and Reader both accumulate a running CRC32C over every
+// Writer streams an image out; MapReader is the one reader. It walks
+// an image already in memory — a whole-file heap read
+// (storage::ReadFile) or a mapping (storage::MmapRegion) — and hands
+// out borrowed pointers into it instead of copying. Because both open
+// paths run the same reader over the same bytes, they accept or reject
+// any image identically (the property the fuzz harness' twin check
+// locks in).
+//
+// Robustness properties:
+//   - Writer and MapReader both accumulate a running CRC32C over every
 //     byte written/consumed; WriteCrcFooter / VerifyCrcFooter turn it
 //     into a whole-image integrity check that catches any single-bit
 //     corruption the structural checks miss.
-//   - Reader::Vec bounds every element count against the bytes
-//     actually remaining in the stream, so a corrupted length field
-//     fails cleanly instead of attempting a multi-GiB allocation.
-//
-// Zero-copy additions (PR 8): Writer::Align8 pads the stream with
-// CRC-covered zero bytes so array payloads land 8-aligned in the file,
-// and MapReader walks a memory image (an mmap'd artifact) handing out
-// borrowed pointers into it instead of copying. Heap Reader and
-// MapReader enforce the same bounds/pad checks in the same order, so
-// both open paths accept or reject any given image identically — the
-// property the fuzz harness' differential mmap phase locks in.
+//   - Every element count is bounded against the bytes actually
+//     remaining, so a corrupted length field fails cleanly instead of
+//     attempting a multi-GiB allocation.
+//   - Writer::Align8 pads with CRC-covered zero bytes so array
+//     payloads land 8-aligned in the file; MapReader rejects a missing
+//     or nonzero pad as tampering.
 
 #ifndef SPINE_COMMON_SERDE_H_
 #define SPINE_COMMON_SERDE_H_
 
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <vector>
 
@@ -84,7 +87,7 @@ class Writer {
   uint32_t crc() const { return Crc32cFinish(crc_state_); }
 
   // Appends the running CRC as a trailer. The footer itself is not
-  // folded into the CRC; pair with Reader::VerifyCrcFooter.
+  // folded into the CRC; pair with MapReader::VerifyCrcFooter.
   void WriteCrcFooter() {
     uint32_t footer = crc();
     out_.write(reinterpret_cast<const char*>(&footer), sizeof(footer));
@@ -103,114 +106,11 @@ class Writer {
   uint64_t written_ = 0;
 };
 
-class Reader {
- public:
-  explicit Reader(std::istream& in) : in_(in) {
-    // Snapshot how many bytes remain so corrupt vector lengths can be
-    // rejected before allocation. Non-seekable streams fall back to a
-    // coarse cap.
-    std::streampos cur = in_.tellg();
-    if (cur != std::streampos(-1)) {
-      in_.seekg(0, std::ios::end);
-      std::streampos end = in_.tellg();
-      in_.seekg(cur);
-      if (end != std::streampos(-1) && end >= cur) {
-        remaining_ = static_cast<uint64_t>(end - cur);
-        bounded_ = true;
-      }
-    }
-    in_.clear();
-  }
-
-  template <typename T>
-  [[nodiscard]] bool Pod(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return Raw(value, sizeof(T));
-  }
-
-  template <typename T>
-  [[nodiscard]] bool Vec(std::vector<T>* vec) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t count = 0;
-    if (!Pod(&count)) return false;
-    if (bounded_) {
-      if (count > remaining_ / sizeof(T)) return false;
-    } else if (count > (1ull << 34) / sizeof(T)) {
-      // Guard against absurd sizes from corrupt files.
-      return false;
-    }
-    vec->resize(count);
-    if (count > 0 && !Raw(vec->data(), count * sizeof(T))) return false;
-    return true;
-  }
-
-  // Raw CRC-covered bytes with no length prefix (mirrors
-  // Writer::Bytes).
-  [[nodiscard]] bool Bytes(void* out, size_t n) { return Raw(out, n); }
-
-  // Consumes the zero pad written by Writer::Align8; false when the
-  // pad bytes are missing or nonzero (nonzero pad means the image was
-  // tampered with — both open paths must agree on rejecting it).
-  [[nodiscard]] bool Align8() { return SkipPad((8 - consumed_ % 8) % 8); }
-  [[nodiscard]] bool AlignForFooter8() {
-    return SkipPad((8 - (consumed_ + 4) % 8) % 8);
-  }
-
-  uint64_t consumed() const { return consumed_; }
-
-  // CRC32C of everything consumed so far.
-  uint32_t crc() const { return Crc32cFinish(crc_state_); }
-
-  // Reads a trailing CRC written by Writer::WriteCrcFooter and checks
-  // it against the bytes consumed up to this point.
-  [[nodiscard]] bool VerifyCrcFooter() {
-    uint32_t want = crc();
-    uint32_t stored = 0;
-    in_.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-    if (!in_.good() && !in_.eof()) return false;
-    if (in_.gcount() != sizeof(stored)) return false;
-    if (bounded_ && remaining_ >= sizeof(stored)) {
-      remaining_ -= sizeof(stored);
-    }
-    return stored == want;
-  }
-
- private:
-  [[nodiscard]] bool Raw(void* data, size_t n) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (static_cast<size_t>(in_.gcount()) != n) return false;
-    crc_state_ = Crc32cExtend(crc_state_, data, n);
-    if (bounded_) remaining_ = remaining_ >= n ? remaining_ - n : 0;
-    consumed_ += n;
-    return true;
-  }
-
-  [[nodiscard]] bool SkipPad(uint64_t pad) {
-    uint8_t buf[8] = {0};
-    if (pad == 0) return true;
-    if (!Raw(buf, static_cast<size_t>(pad))) return false;
-    for (uint64_t i = 0; i < pad; ++i) {
-      if (buf[i] != 0) return false;
-    }
-    return true;
-  }
-
-  std::istream& in_;
-  uint32_t crc_state_ = kCrc32cInit;
-  uint64_t remaining_ = 0;
-  uint64_t consumed_ = 0;
-  bool bounded_ = false;
-};
-
-// Walks a serialized image already resident in memory (an mmap'd
-// artifact) and hands out borrowed pointers into it instead of
-// copying. Mirrors Reader exactly — same framing, same bounds checks,
-// same pad verification, same CRC coverage — so the heap and mmap open
-// paths reach identical verdicts on any byte sequence. Constructed
-// with verify_crc=false it skips the CRC fold entirely (the
-// "mmap-noverify" open mode: structural bounds checks only, O(1-ish)
-// open cost), in which case VerifyCrcFooter only checks the footer's
-// presence.
+// Walks a serialized image already resident in memory and hands out
+// borrowed pointers into it instead of copying. Constructed with
+// verify_crc=false it skips the CRC fold entirely (the "mmap-noverify"
+// open mode: structural bounds checks only, O(1-ish) open cost), in
+// which case VerifyCrcFooter only checks the footer's presence.
 class MapReader {
  public:
   MapReader(const uint8_t* data, uint64_t size, bool verify_crc = true)
@@ -226,7 +126,7 @@ class MapReader {
   }
 
   // Count-prefixed array, borrowed: *out points into the image (valid
-  // for the mapping's lifetime), naturally aligned because the writer
+  // while the image bytes live), naturally aligned because the writer
   // Align8'd before it. Misalignment is treated as corruption.
   template <typename T>
   [[nodiscard]] bool View(const T** out, uint64_t* count) {
@@ -240,8 +140,8 @@ class MapReader {
     return true;
   }
 
-  // Count-prefixed array, copied (hash-map payloads that are rebuilt
-  // at open regardless of mode).
+  // Count-prefixed array, copied (payloads the caller keeps in its own
+  // containers: hash maps rebuilt at open, manifests, sidecars).
   template <typename T>
   [[nodiscard]] bool Vec(std::vector<T>* vec) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -273,7 +173,7 @@ class MapReader {
     uint32_t want = Crc32cFinish(crc_state_);
     uint32_t stored = 0;
     std::memcpy(&stored, data_ + offset_, sizeof(stored));
-    offset_ += sizeof(stored);  // footer is outside the CRC, like Reader
+    offset_ += sizeof(stored);  // the footer is outside the CRC
     return verify_ ? stored == want : true;
   }
 

@@ -158,6 +158,12 @@ class CompactSpineIndex {
 
   Status Validate() const;
 
+  // Copies every borrowed table (and the packed labels) into owned
+  // storage and drops the backing buffer. Append calls it so mutation
+  // never writes through a read-only mapping (a built index pays one
+  // branch); a heap open calls it so the index owns its tables.
+  void EnsureOwnedTables();
+
  private:
   friend class CompactSpineSerializer;
 
@@ -218,17 +224,13 @@ class CompactSpineIndex {
 
   void PushNode(NodeId dest, uint32_t lel);  // appends the LT entry
 
-  // Copies every borrowed table (and the packed labels) into owned
-  // storage so mutation never writes through a read-only mapping.
-  // Called at the top of Append; a heap-built index pays one branch.
-  void EnsureOwnedTables();
-
   Alphabet alphabet_;
   PackedString codes_;
 
-  // Flat tables are BorrowVecs: the heap open path owns them, the mmap
-  // open path points them into the artifact mapping (kept alive by
-  // backing_). The hash maps below are always rebuilt at open.
+  // Flat tables are BorrowVecs: every open parses them as views into
+  // the artifact bytes (kept alive by backing_); a heap open then copies
+  // them into owned storage, an mmap open keeps borrowing from the
+  // mapping. The hash maps below are always rebuilt at open.
   BorrowVec<uint32_t> lt_word_;  // entry 0 (root) unused
   BorrowVec<uint16_t> lt_lel_;
 
@@ -241,7 +243,7 @@ class CompactSpineIndex {
   std::unordered_map<uint32_t, ExtribEntry> extribs_;
   BorrowVec<uint32_t> overflow_;  // label overflow values
 
-  // Keeps the mapped image alive while any table borrows from it.
+  // Keeps the artifact bytes alive while any table borrows from them.
   std::shared_ptr<const void> backing_;
 
   uint32_t max_lel_ = 0;

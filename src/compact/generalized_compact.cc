@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/serde.h"
 #include "compact/serializer.h"
+#include "core/index.h"
 #include "core/matcher.h"
 
 namespace spine {
@@ -169,55 +170,6 @@ Status GeneralizedCompactSpine::Save(const std::string& path) const {
 
 namespace {
 
-// The parsed outer header. Shared between the stream and memory open
-// paths (serde::Reader and serde::MapReader expose the same reading
-// interface), so both reach identical verdicts on any byte sequence.
-struct OuterHeader {
-  uint32_t kind = 0;
-  std::vector<uint32_t> boundaries;
-  std::vector<std::string> names;
-};
-
-template <typename R>
-Status ParseOuterHeader(R& r, const std::string& path, OuterHeader* out) {
-  uint32_t magic = 0, version = 0;
-  if (!r.Pod(&magic) || magic != kGenMagic) {
-    return Status::Corruption("bad generalized-index magic in " + path);
-  }
-  if (!r.Pod(&version) || version != kGenVersion) {
-    return Status::Corruption("unsupported generalized-index version");
-  }
-  if (!r.Pod(&out->kind) || out->kind > 3 ||
-      out->kind == static_cast<uint32_t>(Alphabet::Kind::kByte)) {
-    return Status::Corruption("bad alphabet kind in " + path);
-  }
-  if (!r.Vec(&out->boundaries)) {
-    return Status::Corruption("truncated boundaries in " + path);
-  }
-  uint64_t name_count = 0;
-  if (!r.Pod(&name_count) || name_count != out->boundaries.size()) {
-    return Status::Corruption("name/boundary count mismatch in " + path);
-  }
-  for (uint64_t i = 0; i < name_count; ++i) {
-    uint32_t length = 0;
-    if (!r.Pod(&length) || length > 4096) {
-      return Status::Corruption("bad name length in " + path);
-    }
-    std::string name(length, '\0');
-    if (length > 0 && !r.Bytes(name.data(), length)) {
-      return Status::Corruption("truncated name in " + path);
-    }
-    out->names.push_back(std::move(name));
-  }
-  if (!r.AlignForFooter8()) {
-    return Status::Corruption("bad header padding in " + path);
-  }
-  if (!r.VerifyCrcFooter()) {
-    return Status::Corruption("header checksum mismatch in " + path);
-  }
-  return Status::OK();
-}
-
 Alphabet AlphabetForKind(uint32_t kind) {
   if (kind == static_cast<uint32_t>(Alphabet::Kind::kProtein)) {
     return Alphabet::Protein();
@@ -232,45 +184,59 @@ Alphabet AlphabetForKind(uint32_t kind) {
 
 Result<GeneralizedCompactSpine> GeneralizedCompactSpine::Load(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  serde::Reader r(in);
-  OuterHeader header;
-  SPINE_RETURN_IF_ERROR(ParseOuterHeader(r, path, &header));
-  GeneralizedCompactSpine generalized(AlphabetForKind(header.kind));
-  generalized.boundaries_ = std::move(header.boundaries);
-  generalized.names_ = std::move(header.names);
-  Result<CompactSpineIndex> inner = LoadCompactSpineFromStream(in);
-  if (!inner.ok()) return inner.status();
-  if (inner->alphabet().kind() != Alphabet::Kind::kAscii) {
-    return Status::Corruption("inner index alphabet mismatch in " + path);
-  }
-  if (!generalized.boundaries_.empty() &&
-      generalized.boundaries_.back() != inner->size()) {
-    return Status::Corruption("boundaries inconsistent with index size");
-  }
-  generalized.index_ = std::move(inner).value();
-  return generalized;
+  Result<core::Artifact> artifact = core::ReadArtifact(path, {});
+  if (!artifact.ok()) return artifact.status();
+  return artifact->Parse(&GeneralizedCompactSpine::LoadFromMemory);
 }
 
 Result<GeneralizedCompactSpine> GeneralizedCompactSpine::LoadFromMemory(
     const uint8_t* data, uint64_t size, bool verify,
     std::shared_ptr<const void> keepalive) {
-  const std::string path = "<memory>";
   serde::MapReader r(data, size, /*verify_crc=*/verify);
-  OuterHeader header;
-  SPINE_RETURN_IF_ERROR(ParseOuterHeader(r, path, &header));
-  GeneralizedCompactSpine generalized(AlphabetForKind(header.kind));
-  generalized.boundaries_ = std::move(header.boundaries);
-  generalized.names_ = std::move(header.names);
+  uint32_t magic = 0, version = 0, kind = 0;
+  if (!r.Pod(&magic) || magic != kGenMagic) {
+    return Status::Corruption("bad generalized-index magic");
+  }
+  if (!r.Pod(&version) || version != kGenVersion) {
+    return Status::Corruption("unsupported generalized-index version");
+  }
+  if (!r.Pod(&kind) || kind > 3 ||
+      kind == static_cast<uint32_t>(Alphabet::Kind::kByte)) {
+    return Status::Corruption("bad alphabet kind");
+  }
+  GeneralizedCompactSpine generalized(AlphabetForKind(kind));
+  if (!r.Vec(&generalized.boundaries_)) {
+    return Status::Corruption("truncated boundaries");
+  }
+  uint64_t name_count = 0;
+  if (!r.Pod(&name_count) || name_count != generalized.boundaries_.size()) {
+    return Status::Corruption("name/boundary count mismatch");
+  }
+  for (uint64_t i = 0; i < name_count; ++i) {
+    uint32_t length = 0;
+    if (!r.Pod(&length) || length > 4096) {
+      return Status::Corruption("bad name length");
+    }
+    std::string name(length, '\0');
+    if (length > 0 && !r.Bytes(name.data(), length)) {
+      return Status::Corruption("truncated name");
+    }
+    generalized.names_.push_back(std::move(name));
+  }
+  if (!r.AlignForFooter8()) {
+    return Status::Corruption("bad header padding");
+  }
+  if (!r.VerifyCrcFooter()) {
+    return Status::Corruption("header checksum mismatch");
+  }
   // The inner image starts here, at an 8-aligned offset by
   // construction; borrow it in place.
-  uint64_t inner_start = r.offset();
+  const uint64_t inner_start = r.offset();
   Result<CompactSpineIndex> inner = LoadCompactSpineFromMemory(
       data + inner_start, size - inner_start, verify, std::move(keepalive));
   if (!inner.ok()) return inner.status();
   if (inner->alphabet().kind() != Alphabet::Kind::kAscii) {
-    return Status::Corruption("inner index alphabet mismatch in " + path);
+    return Status::Corruption("inner index alphabet mismatch");
   }
   if (!generalized.boundaries_.empty() &&
       generalized.boundaries_.back() != inner->size()) {

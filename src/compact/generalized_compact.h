@@ -86,17 +86,23 @@ class GeneralizedCompactSpine {
   // --- Persistence ---------------------------------------------------------
 
   Status Save(const std::string& path) const;
+  // Reads the file whole and parses it with LoadFromMemory, then copies
+  // the tables out of the buffer (EnsureOwnedTables). Errors name `path`.
   static Result<GeneralizedCompactSpine> Load(const std::string& path);
 
-  // Zero-copy variant over an image already in memory (an mmap'd
-  // .spinegen file): the outer header is parsed and copied (it is
-  // tiny), the embedded compact image is borrowed in place via
-  // LoadCompactSpineFromMemory. Same verify semantics and verdicts as
-  // Load. `data` must be 8-aligned; `keepalive` is retained by the
-  // inner index while it borrows from the buffer.
+  // The one parser, over an image already in memory (a heap read or a
+  // mapped .spinegen file): the outer header is parsed and copied (it
+  // is tiny), the embedded compact image is borrowed in place via
+  // LoadCompactSpineFromMemory, with the same verify semantics. `data`
+  // must be 8-aligned; `keepalive` is retained by the inner index while
+  // it borrows from the buffer.
   static Result<GeneralizedCompactSpine> LoadFromMemory(
       const uint8_t* data, uint64_t size, bool verify,
       std::shared_ptr<const void> keepalive);
+
+  // Copies the inner index's borrowed tables into owned storage
+  // (CompactSpineIndex::EnsureOwnedTables).
+  void EnsureOwnedTables() { index_.EnsureOwnedTables(); }
 
  private:
   bool MapPosition(uint32_t global, Hit* hit) const;

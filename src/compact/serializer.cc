@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/serde.h"
+#include "core/index.h"
 
 namespace spine {
 
@@ -74,134 +75,28 @@ class CompactSpineSerializer {
     return Status::OK();
   }
 
-  // Shared header parse: magic/version/alphabet. Templated over
-  // serde::Reader and serde::MapReader (identical Pod interface).
-  template <typename R>
-  static Result<Alphabet> ReadHeader(R& r, const std::string& path) {
+  static Result<CompactSpineIndex> LoadFromMemory(
+      const uint8_t* data, uint64_t size, bool verify,
+      std::shared_ptr<const void> keepalive) {
+    serde::MapReader r(data, size, /*verify_crc=*/verify);
     uint32_t magic = 0, version = 0, kind = 0;
     if (!r.Pod(&magic) || magic != kMagic) {
-      return Status::Corruption("bad magic in " + path);
+      return Status::Corruption("bad magic");
     }
     if (!r.Pod(&version) || version != kVersion) {
-      return Status::Corruption("unsupported version in " + path);
+      return Status::Corruption("unsupported version");
     }
     std::optional<Alphabet> alphabet;
     if (!r.Pod(&kind) || !(alphabet = Alphabet::FromKind(kind))) {
-      return Status::Corruption("bad alphabet kind in " + path);
+      return Status::Corruption("bad alphabet kind");
     }
     if (alphabet->kind() == Alphabet::Kind::kByte) {
       return Status::Corruption(
           "compact images do not support the byte alphabet");
     }
-    return *alphabet;
-  }
-
-  // Shared post-parse geometry checks (run on both open paths, in the
-  // same order, so they reach the same verdict).
-  static Status CheckGeometry(const CompactSpineIndex& index, uint64_t n,
-                              uint64_t cl_words, const std::string& path) {
-    if (cl_words * 64 < n * index.alphabet_.bits_per_code()) {
-      return Status::Corruption("CL words inconsistent with size");
-    }
-    if (index.lt_word_.size() != n + 1 || index.lt_lel_.size() != n + 1 ||
-        index.root_rib_dest_.size() != index.alphabet_.size()) {
-      return Status::Corruption("LT sizes inconsistent in " + path);
-    }
-    for (uint32_t k = 0; k < 4; ++k) {
-      if (index.rt_[k].size() % CompactSpineIndex::RtStride(k + 1) != 0) {
-        return Status::Corruption("RT stride misalignment in " + path);
-      }
-    }
-    return Status::OK();
-  }
-
-  static Result<CompactSpineIndex> Load(std::istream& in,
-                                        const std::string& path) {
-    serde::Reader r(in);
-    Result<Alphabet> alphabet = ReadHeader(r, path);
-    if (!alphabet.ok()) return alphabet.status();
     CompactSpineIndex index(*alphabet);
     uint64_t n = 0;
-    if (!r.Pod(&n)) return Status::Corruption("truncated header in " + path);
-
-    auto aligned_vec = [&r](auto* bv) -> bool {
-      using T = std::decay_t<decltype((*bv)[0])>;
-      std::vector<T> tmp;
-      if (!r.Align8() || !r.Vec(&tmp)) return false;
-      bv->Adopt(std::move(tmp));
-      return true;
-    };
-
-    std::vector<uint64_t> words;
-    if (!r.Align8() || !r.Vec(&words)) {
-      return Status::Corruption("truncated CL in " + path);
-    }
-    uint64_t cl_words = words.size();
-    if (!aligned_vec(&index.lt_word_) || !aligned_vec(&index.lt_lel_) ||
-        !aligned_vec(&index.root_rib_dest_)) {
-      return Status::Corruption("truncated LT in " + path);
-    }
-    for (int k = 0; k < 4; ++k) {
-      if (!aligned_vec(&index.rt_[k])) {
-        return Status::Corruption("truncated RT in " + path);
-      }
-    }
-    for (int k = 0; k < 4; ++k) {
-      if (!aligned_vec(&index.rt_free_[k])) {
-        return Status::Corruption("truncated RT free list in " + path);
-      }
-    }
-    uint64_t big_count = 0;
-    if (!r.Pod(&big_count)) return Status::Corruption("truncated big table");
-    for (uint64_t i = 0; i < big_count; ++i) {
-      uint32_t node = 0;
-      CompactSpineIndex::BigEntry big;
-      if (!r.Pod(&node) || !r.Pod(&big.link_dest) || !r.Vec(&big.ribs)) {
-        return Status::Corruption("truncated big entry in " + path);
-      }
-      index.rt_big_.emplace(node, std::move(big));
-    }
-    uint64_t ext_count = 0;
-    if (!r.Pod(&ext_count)) return Status::Corruption("truncated extribs");
-    for (uint64_t i = 0; i < ext_count; ++i) {
-      uint32_t node = 0;
-      CompactSpineIndex::ExtribEntry entry;
-      if (!r.Pod(&node) || !r.Pod(&entry)) {
-        return Status::Corruption("truncated extrib entry in " + path);
-      }
-      index.extribs_.emplace(node, entry);
-    }
-    if (!aligned_vec(&index.overflow_)) {
-      return Status::Corruption("truncated overflow table in " + path);
-    }
-    if (!r.Pod(&index.max_lel_) || !r.Pod(&index.max_pt_) ||
-        !r.Pod(&index.max_prt_)) {
-      return Status::Corruption("truncated trailer in " + path);
-    }
-    // Geometry before RestoreFromWords: its SPINE_CHECK must only see
-    // images whose word count already passed the corruption check.
-    SPINE_RETURN_IF_ERROR(CheckGeometry(index, n, cl_words, path));
-    index.codes_.RestoreFromWords(std::move(words), n);
-    // Whole-image checksum before any structural verdict: a payload
-    // flip that happens to parse is still rejected here.
-    if (!r.VerifyCrcFooter()) {
-      return Status::Corruption("image checksum mismatch in " + path);
-    }
-    Status valid = index.Validate();
-    if (!valid.ok()) return valid;
-    return index;
-  }
-
-  static Result<CompactSpineIndex> LoadFromMemory(
-      const uint8_t* data, uint64_t size, bool verify,
-      std::shared_ptr<const void> keepalive, uint64_t* consumed) {
-    const std::string path = "<memory>";
-    serde::MapReader r(data, size, /*verify_crc=*/verify);
-    Result<Alphabet> alphabet = ReadHeader(r, path);
-    if (!alphabet.ok()) return alphabet.status();
-    CompactSpineIndex index(*alphabet);
-    uint64_t n = 0;
-    if (!r.Pod(&n)) return Status::Corruption("truncated header in " + path);
+    if (!r.Pod(&n)) return Status::Corruption("truncated header");
 
     auto aligned_view = [&r](auto* bv) -> bool {
       using T = std::decay_t<decltype((*bv)[0])>;
@@ -215,20 +110,20 @@ class CompactSpineSerializer {
     const uint64_t* words = nullptr;
     uint64_t cl_words = 0;
     if (!r.Align8() || !r.View(&words, &cl_words)) {
-      return Status::Corruption("truncated CL in " + path);
+      return Status::Corruption("truncated CL");
     }
     if (!aligned_view(&index.lt_word_) || !aligned_view(&index.lt_lel_) ||
         !aligned_view(&index.root_rib_dest_)) {
-      return Status::Corruption("truncated LT in " + path);
+      return Status::Corruption("truncated LT");
     }
     for (int k = 0; k < 4; ++k) {
       if (!aligned_view(&index.rt_[k])) {
-        return Status::Corruption("truncated RT in " + path);
+        return Status::Corruption("truncated RT");
       }
     }
     for (int k = 0; k < 4; ++k) {
       if (!aligned_view(&index.rt_free_[k])) {
-        return Status::Corruption("truncated RT free list in " + path);
+        return Status::Corruption("truncated RT free list");
       }
     }
     uint64_t big_count = 0;
@@ -237,7 +132,7 @@ class CompactSpineSerializer {
       uint32_t node = 0;
       CompactSpineIndex::BigEntry big;
       if (!r.Pod(&node) || !r.Pod(&big.link_dest) || !r.Vec(&big.ribs)) {
-        return Status::Corruption("truncated big entry in " + path);
+        return Status::Corruption("truncated big entry");
       }
       index.rt_big_.emplace(node, std::move(big));
     }
@@ -247,28 +142,42 @@ class CompactSpineSerializer {
       uint32_t node = 0;
       CompactSpineIndex::ExtribEntry entry;
       if (!r.Pod(&node) || !r.Pod(&entry)) {
-        return Status::Corruption("truncated extrib entry in " + path);
+        return Status::Corruption("truncated extrib entry");
       }
       index.extribs_.emplace(node, entry);
     }
     if (!aligned_view(&index.overflow_)) {
-      return Status::Corruption("truncated overflow table in " + path);
+      return Status::Corruption("truncated overflow table");
     }
     if (!r.Pod(&index.max_lel_) || !r.Pod(&index.max_pt_) ||
         !r.Pod(&index.max_prt_)) {
-      return Status::Corruption("truncated trailer in " + path);
+      return Status::Corruption("truncated trailer");
     }
-    SPINE_RETURN_IF_ERROR(CheckGeometry(index, n, cl_words, path));
+    // Geometry before BorrowFromWords: its SPINE_CHECK must only see
+    // images whose word count already passed the corruption check.
+    if (cl_words * 64 < n * index.alphabet_.bits_per_code()) {
+      return Status::Corruption("CL words inconsistent with size");
+    }
+    if (index.lt_word_.size() != n + 1 || index.lt_lel_.size() != n + 1 ||
+        index.root_rib_dest_.size() != index.alphabet_.size()) {
+      return Status::Corruption("LT sizes inconsistent");
+    }
+    for (uint32_t k = 0; k < 4; ++k) {
+      if (index.rt_[k].size() % CompactSpineIndex::RtStride(k + 1) != 0) {
+        return Status::Corruption("RT stride misalignment");
+      }
+    }
     index.codes_.BorrowFromWords(words, cl_words, n);
+    // Whole-image checksum before any structural verdict: a payload
+    // flip that happens to parse is still rejected here.
     if (!r.VerifyCrcFooter()) {
-      return Status::Corruption("image checksum mismatch in " + path);
+      return Status::Corruption("image checksum mismatch");
     }
     if (verify) {
       Status valid = index.Validate();
       if (!valid.ok()) return valid;
     }
     index.backing_ = std::move(keepalive);
-    if (consumed != nullptr) *consumed = r.offset();
     return index;
   }
 };
@@ -284,12 +193,9 @@ Status SaveCompactSpine(const CompactSpineIndex& index,
 }
 
 Result<CompactSpineIndex> LoadCompactSpine(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  return CompactSpineSerializer::Load(in, path);
+  Result<core::Artifact> artifact = core::ReadArtifact(path, {});
+  if (!artifact.ok()) return artifact.status();
+  return artifact->Parse(&LoadCompactSpineFromMemory);
 }
 
 Status SaveCompactSpineToStream(const CompactSpineIndex& index,
@@ -297,16 +203,11 @@ Status SaveCompactSpineToStream(const CompactSpineIndex& index,
   return CompactSpineSerializer::Save(index, out);
 }
 
-Result<CompactSpineIndex> LoadCompactSpineFromStream(std::istream& in) {
-  return CompactSpineSerializer::Load(in, "<stream>");
-}
-
 Result<CompactSpineIndex> LoadCompactSpineFromMemory(
     const uint8_t* data, uint64_t size, bool verify,
-    std::shared_ptr<const void> keepalive, uint64_t* consumed) {
+    std::shared_ptr<const void> keepalive) {
   return CompactSpineSerializer::LoadFromMemory(data, size, verify,
-                                                std::move(keepalive),
-                                                consumed);
+                                                std::move(keepalive));
 }
 
 }  // namespace spine

@@ -8,7 +8,6 @@
 #define SPINE_COMPACT_SERIALIZER_H_
 
 #include <cstdint>
-#include <istream>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -22,34 +21,35 @@ namespace spine {
 Status SaveCompactSpine(const CompactSpineIndex& index,
                         const std::string& path);
 
-// Loads an index previously written by SaveCompactSpine. Fails with
-// kCorruption on bad magic/version/truncated data.
+// Loads an index previously written by SaveCompactSpine into owned
+// memory: the file is read whole and parsed by
+// LoadCompactSpineFromMemory (the one parser), then the tables are
+// copied out of the buffer. Fails with kCorruption on bad
+// magic/version/truncated data; the message names `path`.
 Result<CompactSpineIndex> LoadCompactSpine(const std::string& path);
 
-// Stream variants (used to embed an index image inside a larger file,
-// e.g. the generalized multi-string index). An embedded image must
-// start at an 8-aligned stream offset so the zero-copy loader below
-// can point into it (v4 images align their arrays relative to the
-// image start).
+// Stream writer, used to embed an index image inside a larger file
+// (the generalized multi-string index). An embedded image must start at
+// an 8-aligned stream offset so the loader below can point into it (v4
+// images align their arrays relative to the image start).
 Status SaveCompactSpineToStream(const CompactSpineIndex& index,
                                 std::ostream& out);
-Result<CompactSpineIndex> LoadCompactSpineFromStream(std::istream& in);
 
-// Zero-copy variant: deserializes an image already resident in memory
-// (an mmap'd artifact), pointing the index's flat tables INTO
+// The image parser: deserializes an image already in memory (a heap
+// read or a mapping), pointing the index's flat tables INTO
 // [data, data + size) instead of copying. `data` must be 8-aligned.
 // `keepalive` is retained by the returned index for as long as any
-// table borrows from the buffer (pass the MmapRegion; pass nullptr
+// table borrows from the buffer (pass the buffer's owner; pass nullptr
 // only when the caller guarantees the buffer outlives the index).
-// With verify=true the whole-image CRC and structural Validate() run
-// exactly as in the heap path, so both opens reach identical verdicts
-// on any image; verify=false skips both for O(tables) open cost and
-// keeps only the bounds/geometry checks. `consumed`, when non-null,
-// receives the image's byte length (header through CRC footer) —
-// trailing bytes in the buffer are tolerated, as on the stream path.
+// With verify=true the whole-image CRC and structural Validate() run;
+// verify=false (mmap-noverify) skips both for O(tables) open cost and
+// keeps only the bounds/geometry checks. Trailing bytes after the CRC
+// footer are tolerated. core::Artifact::Parse is the opener-side
+// wrapper: it names the path in errors and owns the tables after a
+// heap read.
 Result<CompactSpineIndex> LoadCompactSpineFromMemory(
     const uint8_t* data, uint64_t size, bool verify,
-    std::shared_ptr<const void> keepalive, uint64_t* consumed = nullptr);
+    std::shared_ptr<const void> keepalive);
 
 }  // namespace spine
 

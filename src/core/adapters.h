@@ -86,9 +86,10 @@ class CompactSpineAdapter final : public Index {
       : index_(&index) {}
   explicit CompactSpineAdapter(CompactSpineIndex&& index)
       : owned_(std::move(index)), index_(&*owned_) {}
-  // Zero-copy open: the index borrows its tables from `mapping`; every
-  // query admission checks the length fence first so a shrunk artifact
-  // surfaces as a clean kIoError, never SIGBUS.
+  // Opened artifact: under mmap the index borrows its tables from
+  // `mapping` and every query admission checks the length fence first,
+  // so a shrunk artifact surfaces as a clean kIoError, never SIGBUS.
+  // A heap open owns its tables and passes a null mapping.
   CompactSpineAdapter(CompactSpineIndex&& index,
                       std::shared_ptr<const storage::MmapRegion> mapping)
       : owned_(std::move(index)),
@@ -174,7 +175,7 @@ class GeneralizedCompactAdapter final : public Index {
       : index_(&index) {}
   explicit GeneralizedCompactAdapter(GeneralizedCompactSpine&& index)
       : owned_(std::move(index)), index_(&*owned_) {}
-  // Zero-copy open (see CompactSpineAdapter).
+  // Opened artifact (see CompactSpineAdapter).
   GeneralizedCompactAdapter(GeneralizedCompactSpine&& index,
                             std::shared_ptr<const storage::MmapRegion> mapping)
       : owned_(std::move(index)),

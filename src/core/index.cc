@@ -101,4 +101,26 @@ OpenOptions DefaultOpenOptions() {
   return resolved;
 }
 
+Result<Artifact> ReadArtifact(const std::string& path,
+                              const OpenOptions& options) {
+  Artifact artifact;
+  artifact.path = path;
+  if (options.mode == OpenMode::kMmap) {
+    storage::MmapOptions mmap_options;
+    mmap_options.populate = options.populate;
+    mmap_options.hugepage = options.hugepage;
+    Result<std::shared_ptr<storage::MmapRegion>> region =
+        storage::MmapRegion::MapShared(path, mmap_options);
+    if (!region.ok()) return region.status();
+    artifact.bytes = {(*region)->data(), (*region)->size(), *region};
+    artifact.verify = options.verify;
+    artifact.mapping = std::move(*region);
+    return artifact;
+  }
+  Result<storage::FileBytes> file = storage::ReadFile(path);
+  if (!file.ok()) return file.status();
+  artifact.bytes = std::move(*file);
+  return artifact;
+}
+
 }  // namespace spine::core

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "alphabet/alphabet.h"
@@ -32,6 +33,7 @@
 #include "common/status.h"
 #include "core/query.h"
 #include "obs/trace.h"
+#include "storage/mmap_region.h"
 
 namespace spine::core {
 
@@ -113,6 +115,41 @@ std::string_view OpenOptionsName(const OpenOptions& options);
 // Infallible — an invalid value warns once on stderr and falls back to
 // heap (a misspelled env var must not take the serving fleet down).
 OpenOptions DefaultOpenOptions();
+
+// An image or shard file brought into memory the way `options` asks.
+// ReadArtifact is the one place that decides between reading and
+// mapping: kHeap reads the whole file into a private 8-aligned buffer,
+// kMmap maps it (shared across in-process opens, with the populate and
+// hugepage flags). Both feed the same borrowing parser through Parse.
+struct Artifact {
+  std::string path;
+  storage::FileBytes bytes;
+  // Whether the parse checks checksums and structure: always on a heap
+  // read, OpenOptions::verify on a mapping.
+  bool verify = true;
+  // The mapping, for the length fence; null on a heap read.
+  std::shared_ptr<const storage::MmapRegion> mapping;
+
+  // Runs a borrowing parser (LoadCompactSpineFromMemory,
+  // GeneralizedCompactSpine::LoadFromMemory) over the bytes. A failure
+  // is prefixed with the artifact's path. After a heap read the index
+  // copies its tables out of the buffer (EnsureOwnedTables), so it owns
+  // them exactly like an index built in memory and the buffer is freed.
+  template <typename T>
+  Result<T> Parse(Result<T> (*parse)(const uint8_t*, uint64_t, bool,
+                                     std::shared_ptr<const void>)) const {
+    Result<T> parsed = parse(bytes.data, bytes.size, verify, bytes.owner);
+    if (!parsed.ok()) {
+      return Status(parsed.status().code(),
+                    path + ": " + parsed.status().message());
+    }
+    if (mapping == nullptr) parsed->EnsureOwnedTables();
+    return parsed;
+  }
+};
+
+Result<Artifact> ReadArtifact(const std::string& path,
+                              const OpenOptions& options);
 
 constexpr uint8_t QueryKindBit(QueryKind kind) {
   return static_cast<uint8_t>(1u << static_cast<uint8_t>(kind));

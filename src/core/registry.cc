@@ -9,7 +9,6 @@
 #include "core/adapters.h"
 #include "shard/dynamic_family.h"
 #include "shard/sharded_index.h"
-#include "storage/mmap_region.h"
 
 namespace spine::core {
 
@@ -20,51 +19,26 @@ constexpr uint32_t kGeneralizedMagic = 0x53504e47; // "SPNG"
 constexpr uint32_t kDiskSpineMeta = 0x5350444d;    // "SPDM"
 constexpr uint32_t kDiskTreeMeta = 0x53544d44;     // "STMD"
 
-// N in-process opens of one artifact share a single mapping (the
-// storage::MmapRegion::MapShared weak cache), with populate/hugepage
-// toggles carried through from the open spec.
-storage::MmapOptions MmapOptionsFrom(const OpenOptions& options) {
-  storage::MmapOptions mmap_options;
-  mmap_options.populate = options.populate;
-  mmap_options.hugepage = options.hugepage;
-  return mmap_options;
-}
-
 Result<std::unique_ptr<Index>> OpenCompact(const std::string& path,
                                            const OpenOptions& options) {
-  if (options.mode == OpenMode::kMmap) {
-    Result<std::shared_ptr<storage::MmapRegion>> region =
-        storage::MmapRegion::MapShared(path, MmapOptionsFrom(options));
-    if (!region.ok()) return region.status();
-    Result<CompactSpineIndex> index = LoadCompactSpineFromMemory(
-        (*region)->data(), (*region)->size(), options.verify, *region);
-    if (!index.ok()) return index.status();
-    return std::unique_ptr<Index>(
-        new CompactSpineAdapter(std::move(*index), std::move(*region)));
-  }
-  Result<CompactSpineIndex> index = LoadCompactSpine(path);
+  Result<Artifact> artifact = ReadArtifact(path, options);
+  if (!artifact.ok()) return artifact.status();
+  Result<CompactSpineIndex> index =
+      artifact->Parse(&LoadCompactSpineFromMemory);
   if (!index.ok()) return index.status();
   return std::unique_ptr<Index>(
-      new CompactSpineAdapter(std::move(*index)));
+      new CompactSpineAdapter(std::move(*index), artifact->mapping));
 }
 
 Result<std::unique_ptr<Index>> OpenGeneralizedCompact(
     const std::string& path, const OpenOptions& options) {
-  if (options.mode == OpenMode::kMmap) {
-    Result<std::shared_ptr<storage::MmapRegion>> region =
-        storage::MmapRegion::MapShared(path, MmapOptionsFrom(options));
-    if (!region.ok()) return region.status();
-    Result<GeneralizedCompactSpine> index =
-        GeneralizedCompactSpine::LoadFromMemory(
-            (*region)->data(), (*region)->size(), options.verify, *region);
-    if (!index.ok()) return index.status();
-    return std::unique_ptr<Index>(
-        new GeneralizedCompactAdapter(std::move(*index), std::move(*region)));
-  }
-  Result<GeneralizedCompactSpine> index = GeneralizedCompactSpine::Load(path);
+  Result<Artifact> artifact = ReadArtifact(path, options);
+  if (!artifact.ok()) return artifact.status();
+  Result<GeneralizedCompactSpine> index =
+      artifact->Parse(&GeneralizedCompactSpine::LoadFromMemory);
   if (!index.ok()) return index.status();
   return std::unique_ptr<Index>(
-      new GeneralizedCompactAdapter(std::move(*index)));
+      new GeneralizedCompactAdapter(std::move(*index), artifact->mapping));
 }
 
 Result<std::unique_ptr<Index>> OpenDiskSpine(const std::string& path,

@@ -30,7 +30,7 @@ void PutU64(uint64_t v, std::string* out) {
 // Bounds-checked cursor over one frame payload. Every getter fails
 // cleanly (sets bad) instead of reading past the end, and counts are
 // validated against the bytes actually remaining before any allocation
-// — the same discipline as serde::Reader.
+// — the same discipline as serde::MapReader.
 class Cursor {
  public:
   explicit Cursor(std::string_view data) : data_(data) {}

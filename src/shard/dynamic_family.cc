@@ -6,7 +6,6 @@
 #include <cstring>
 #include <fstream>
 #include <shared_mutex>
-#include <sstream>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -24,7 +23,7 @@ namespace spine::shard {
 namespace {
 
 using internal::BaseName;
-using internal::ReadFileBytes;
+using internal::CheckShardFile;
 using internal::SiblingPath;
 
 // Backstop against corrupt manifests claiming absurd shard counts.
@@ -36,13 +35,6 @@ constexpr uint32_t kMaxDynamicShards = 1u << 20;
 // either could match across document boundaries.
 constexpr char kMemSeparator = GeneralizedSpineIndex::kSeparator;
 constexpr char kDiskSeparator = GeneralizedCompactSpine::kSeparator;
-
-storage::MmapOptions MmapOptionsFrom(const core::OpenOptions& open) {
-  storage::MmapOptions options;
-  options.populate = open.populate;
-  options.hugepage = open.hugepage;
-  return options;
-}
 
 // Validates and canonicalizes one document through the user alphabet
 // (case folding etc.), so the memtable and every frozen shard index
@@ -714,16 +706,16 @@ DynamicFamily::WriteShard(uint64_t version,
   Status status = RunFaultHook("shard.write");
   if (status.ok()) status = image.Save(full);
   if (status.ok()) status = RunFaultHook("shard.finish");
-  Result<std::string> bytes =
-      status.ok() ? ReadFileBytes(full) : Result<std::string>(status);
+  Result<storage::FileBytes> bytes = status;
+  if (status.ok()) bytes = storage::ReadFile(full);
   if (!bytes.ok()) {
     std::remove(full.c_str());
     return bytes.status();
   }
   auto shard = std::make_shared<FrozenShard>(std::move(image));
   shard->filename = filename;
-  shard->file_size = bytes->size();
-  shard->file_crc = Crc32c(bytes->data(), bytes->size());
+  shard->file_size = bytes->size;
+  shard->file_crc = Crc32c(bytes->data, bytes->size);
   shard->doc_ids = doc_ids;
   shard->starts.reserve(texts.size());
   uint64_t start = 0;
@@ -794,10 +786,9 @@ Status DynamicFamily::WriteManifest(const Generation& generation) const {
 Result<std::shared_ptr<DynamicFamily::Generation>>
 DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
                               Alphabet* alphabet_out) {
-  Result<std::string> manifest_bytes = ReadFileBytes(path);
+  Result<storage::FileBytes> manifest_bytes = storage::ReadFile(path);
   if (!manifest_bytes.ok()) return manifest_bytes.status();
-  std::istringstream stream(*manifest_bytes);
-  serde::Reader r(stream);
+  serde::MapReader r(manifest_bytes->data, manifest_bytes->size);
   const auto corrupt = [&path](const std::string& what) {
     return Status::Corruption(what + " in " + path);
   };
@@ -880,7 +871,7 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
     }
   }
   if (!r.VerifyCrcFooter()) return corrupt("manifest checksum mismatch");
-  if (r.consumed() + sizeof(uint32_t) != manifest_bytes->size()) {
+  if (r.remaining() != 0) {
     return corrupt("trailing bytes after manifest footer");
   }
 
@@ -890,46 +881,13 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
   generation->next_doc_id = next_doc_id;
   generation->tombstones = std::move(tombstones);
   for (ShardMeta& meta : metas) {
-    const std::string full = SiblingPath(path, meta.filename);
-    std::shared_ptr<const storage::MmapRegion> mapping;
-    const auto load_image = [&]() -> Result<GeneralizedCompactSpine> {
-      if (options.open.mode == core::OpenMode::kMmap) {
-        Result<std::shared_ptr<storage::MmapRegion>> region =
-            storage::MmapRegion::MapShared(full,
-                                           MmapOptionsFrom(options.open));
-        if (!region.ok()) return region.status();
-        if ((*region)->size() != meta.file_size) {
-          return Status::Corruption("shard " + meta.filename +
-                                    " size disagrees with the manifest");
-        }
-        if (options.open.verify &&
-            Crc32c((*region)->data(), (*region)->size()) != meta.file_crc) {
-          return Status::Corruption("shard " + meta.filename +
-                                    " checksum mismatch");
-        }
-        mapping = *region;
-        return GeneralizedCompactSpine::LoadFromMemory(
-            (*region)->data(), (*region)->size(), options.open.verify,
-            *std::move(region));
-      }
-      Result<std::string> bytes = ReadFileBytes(full);
-      if (!bytes.ok()) return bytes.status();
-      if (bytes->size() != meta.file_size) {
-        return Status::Corruption("shard " + meta.filename +
-                                  " size disagrees with the manifest");
-      }
-      if (Crc32c(bytes->data(), bytes->size()) != meta.file_crc) {
-        return Status::Corruption("shard " + meta.filename +
-                                  " checksum mismatch");
-      }
-      // new[] guarantees max_align; LoadFromMemory needs 8-aligned data
-      // which a std::string's buffer does not promise.
-      std::shared_ptr<uint8_t[]> buffer(new uint8_t[bytes->size()]);
-      std::memcpy(buffer.get(), bytes->data(), bytes->size());
-      return GeneralizedCompactSpine::LoadFromMemory(
-          buffer.get(), bytes->size(), /*verify=*/true, buffer);
-    };
-    Result<GeneralizedCompactSpine> image = load_image();
+    Result<core::Artifact> artifact =
+        core::ReadArtifact(SiblingPath(path, meta.filename), options.open);
+    if (!artifact.ok()) return artifact.status();
+    SPINE_RETURN_IF_ERROR(
+        CheckShardFile(*artifact, meta.file_size, meta.file_crc));
+    Result<GeneralizedCompactSpine> image =
+        artifact->Parse(&GeneralizedCompactSpine::LoadFromMemory);
     if (!image.ok()) return image.status();
     if (image->string_count() != meta.doc_ids.size()) {
       return Status::Corruption("shard " + meta.filename +
@@ -944,7 +902,7 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
     shard->file_size = meta.file_size;
     shard->file_crc = meta.file_crc;
     shard->doc_ids = std::move(meta.doc_ids);
-    shard->mapping = std::move(mapping);
+    shard->mapping = std::move(artifact->mapping);
     shard->starts.reserve(shard->doc_ids.size());
     uint64_t start = 0;
     for (uint32_t i = 0; i < shard->doc_ids.size(); ++i) {

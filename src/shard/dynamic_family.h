@@ -86,8 +86,8 @@ inline constexpr uint32_t kDynamicManifestVersion = 2;
 class DynamicFamily final : public core::MutableIndex {
  public:
   struct Options {
-    // How frozen shard images are materialized (heap copy or shared
-    // mapping; storage::MmapRegion::MapShared under OpenMode::kMmap).
+    // How frozen shard images are materialized (core::ReadArtifact:
+    // a heap copy the shard owns, or a shared mapping it borrows from).
     core::OpenOptions open;
     // Auto-flush trigger: when the memtable holds at least this many
     // characters, the background thread freezes it. 0 disables

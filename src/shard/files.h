@@ -1,16 +1,15 @@
-// Path and file helpers shared by the shard families' manifest code.
+// Path and shard-file helpers shared by the shard families' manifest
+// code.
 
 #ifndef SPINE_SHARD_FILES_H_
 #define SPINE_SHARD_FILES_H_
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <cstdint>
 #include <string>
-#include <utility>
 
+#include "common/crc32c.h"
 #include "common/status.h"
+#include "core/index.h"
 
 namespace spine::shard::internal {
 
@@ -31,16 +30,24 @@ inline std::string SiblingPath(const std::string& manifest_path,
   return dir.empty() ? filename : dir + "/" + filename;
 }
 
-inline Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
+// The manifest pins each shard file's byte size and whole-file CRC32C.
+// The size is checked on every open, the CRC wherever the artifact's
+// parse verifies (always after a heap read, on a mapping when
+// OpenOptions::verify is set).
+inline Status CheckShardFile(const core::Artifact& artifact, uint64_t size,
+                             uint32_t crc) {
+  if (artifact.bytes.size != size) {
+    return Status::Corruption(
+        artifact.path + ": size mismatch (manifest says " +
+        std::to_string(size) + " bytes, file has " +
+        std::to_string(artifact.bytes.size) + ")");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("failed reading " + path);
-  return std::move(buffer).str();
+  if (artifact.verify &&
+      Crc32c(artifact.bytes.data, artifact.bytes.size) != crc) {
+    return Status::Corruption(artifact.path +
+                              ": shard file checksum mismatch");
+  }
+  return Status::OK();
 }
 
 }  // namespace spine::shard::internal

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -20,7 +19,7 @@ namespace spine::shard {
 namespace {
 
 using internal::BaseName;
-using internal::ReadFileBytes;
+using internal::CheckShardFile;
 using internal::SiblingPath;
 
 // Backstop against corrupt manifests claiming absurd shard counts.
@@ -235,10 +234,10 @@ Status ShardedIndex::Save(const std::string& path) const {
     if (!status.ok()) return status;
     // Re-read what actually hit the disk so the manifest pins the
     // written bytes, not what we meant to write.
-    Result<std::string> bytes = ReadFileBytes(shard_path);
+    Result<storage::FileBytes> bytes = storage::ReadFile(shard_path);
     if (!bytes.ok()) return bytes.status();
-    sizes[i] = bytes->size();
-    crcs[i] = Crc32c(bytes->data(), bytes->size());
+    sizes[i] = bytes->size;
+    crcs[i] = Crc32c(bytes->data, bytes->size);
   }
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -270,12 +269,10 @@ Status ShardedIndex::Save(const std::string& path) const {
 
 Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
     const std::string& path, const core::OpenOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  serde::Reader reader(in);
+  // The manifest is small: always read whole, never mapped.
+  Result<storage::FileBytes> bytes = storage::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  serde::MapReader reader(bytes->data, bytes->size);
   const auto corrupt = [&path](const std::string& what) {
     return Status::Corruption(path + ": " + what);
   };
@@ -346,60 +343,23 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
   family->infos_ = std::move(infos);
   family->shards_.reserve(shards);
   for (uint32_t i = 0; i < shards; ++i) {
-    const std::string shard_path = SiblingPath(path, names[i]);
-    Result<CompactSpineIndex> index = Status::OK();
-    if (options.mode == core::OpenMode::kMmap) {
-      // Zero-copy: map the shard image and borrow its tables. The
-      // whole-file CRC pass (the only full read) is skipped with
-      // verify=false, keeping open cost independent of shard size.
-      storage::MmapOptions mmap_options;
-      mmap_options.populate = options.populate;
-      mmap_options.hugepage = options.hugepage;
-      Result<std::shared_ptr<storage::MmapRegion>> region =
-          storage::MmapRegion::MapShared(shard_path, mmap_options);
-      if (!region.ok()) return region.status();
-      if ((*region)->size() != sizes[i]) {
-        return Status::Corruption(
-            shard_path + ": size mismatch (manifest says " +
-            std::to_string(sizes[i]) + " bytes, file has " +
-            std::to_string((*region)->size()) + ")");
-      }
-      if (options.verify &&
-          Crc32c((*region)->data(), (*region)->size()) != crcs[i]) {
-        return Status::Corruption(shard_path +
-                                  ": shard file checksum mismatch");
-      }
-      index = LoadCompactSpineFromMemory((*region)->data(), (*region)->size(),
-                                         options.verify, *region);
-      if (index.ok()) family->mappings_.push_back(std::move(*region));
-    } else {
-      Result<std::string> bytes = ReadFileBytes(shard_path);
-      if (!bytes.ok()) return bytes.status();
-      if (bytes->size() != sizes[i]) {
-        return Status::Corruption(
-            shard_path + ": size mismatch (manifest says " +
-            std::to_string(sizes[i]) + " bytes, file has " +
-            std::to_string(bytes->size()) + ")");
-      }
-      if (Crc32c(bytes->data(), bytes->size()) != crcs[i]) {
-        return Status::Corruption(shard_path +
-                                  ": shard file checksum mismatch");
-      }
-      std::istringstream stream(*bytes);
-      index = LoadCompactSpineFromStream(stream);
-    }
-    if (!index.ok()) {
-      return Status(index.status().code(),
-                    shard_path + ": " +
-                        std::string(index.status().message()));
-    }
+    Result<core::Artifact> artifact =
+        core::ReadArtifact(SiblingPath(path, names[i]), options);
+    if (!artifact.ok()) return artifact.status();
+    SPINE_RETURN_IF_ERROR(CheckShardFile(*artifact, sizes[i], crcs[i]));
+    Result<CompactSpineIndex> index =
+        artifact->Parse(&LoadCompactSpineFromMemory);
+    if (!index.ok()) return index.status();
     const ShardInfo& info = family->infos_[i];
     if (index->size() != info.slice_end - info.core_start ||
         index->alphabet().kind() != alphabet->kind()) {
-      return Status::Corruption(shard_path +
+      return Status::Corruption(artifact->path +
                                 ": shard image disagrees with the manifest");
     }
     family->shards_.push_back(std::move(*index));
+    if (artifact->mapping != nullptr) {
+      family->mappings_.push_back(std::move(artifact->mapping));
+    }
   }
   return family;
 }

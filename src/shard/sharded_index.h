@@ -82,11 +82,11 @@ class ShardedIndex final : public core::Index {
 
   // Reopens a family saved by Save. Verifies the manifest CRC, every
   // shard file's size + whole-file CRC32C, and the split geometry;
-  // any mismatch is kCorruption. Under OpenMode::kMmap every shard
-  // image is mapped and its tables borrowed from the mapping (the
-  // manifest itself is small and always read eagerly); per-shard CRC
-  // and structural validation are skipped when options.verify is
-  // false. Every query then passes the length fence of all shard
+  // any mismatch is kCorruption. Each shard image is read or mapped by
+  // core::ReadArtifact as `options` asks (the manifest itself is small
+  // and always read whole). Mapped shards borrow their tables and skip
+  // the per-shard CRC and structural validation when options.verify is
+  // false; every query then passes the length fence of all shard
   // mappings before touching mapped bytes.
   static Result<std::unique_ptr<ShardedIndex>> Load(
       const std::string& path, const core::OpenOptions& options = {});
@@ -137,9 +137,8 @@ class ShardedIndex final : public core::Index {
   uint32_t max_pattern_ = 0;
   std::vector<ShardInfo> infos_;
   std::vector<CompactSpineIndex> shards_;
-  // One region per shard when the family was opened with
-  // OpenMode::kMmap (shards_[i] borrows from mappings_[i]); empty on
-  // the heap path.
+  // One region per shard when the family was opened under mmap
+  // (shards_[i] borrows from mappings_[i]); empty on the heap path.
   std::vector<std::shared_ptr<const storage::MmapRegion>> mappings_;
 };
 

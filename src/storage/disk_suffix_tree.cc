@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/serde.h"
+#include "storage/mmap_region.h"
 
 namespace spine::storage {
 
@@ -70,12 +71,9 @@ Status DiskSuffixTree::Checkpoint() {
 
 Result<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
     const std::string& path, const Options& options) {
-  std::ifstream in(path + ".meta", std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + path + ".meta: " +
-                           std::strerror(errno));
-  }
-  serde::Reader r(in);
+  Result<FileBytes> meta = ReadFile(path + ".meta");
+  if (!meta.ok()) return meta.status();
+  serde::MapReader r(meta->data, meta->size);
   uint32_t magic = 0, version = 0, kind = 0;
   if (!r.Pod(&magic) || magic != kTreeMetaMagic) {
     return Status::Corruption("bad metadata magic in " + path + ".meta");

@@ -188,6 +188,37 @@ Result<std::shared_ptr<MmapRegion>> MmapRegion::MapShared(
   return region;
 }
 
+Result<FileBytes> ReadFile(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IoError(path + " is not a readable regular file");
+  }
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  // Whole words, so the buffer is 8-aligned like a mapping.
+  std::shared_ptr<uint64_t[]> words(new uint64_t[(size + 7) / 8]);
+  uint8_t* data = reinterpret_cast<uint8_t*>(words.get());
+  for (uint64_t done = 0; done < size;) {
+    const ssize_t n = ::read(fd, data + done, size - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      Status status = Status::IoError(
+          "failed reading " + path + ": " +
+          (n < 0 ? std::strerror(errno) : "file shrank while reading"));
+      ::close(fd);
+      return status;
+    }
+    done += static_cast<uint64_t>(n);
+  }
+  ::close(fd);
+  return FileBytes{data, size, std::move(words)};
+}
+
 // --- MmapIoBackend ---------------------------------------------------------
 
 namespace {

@@ -1,5 +1,7 @@
 // MmapRegion: a read-only memory mapping of an artifact file, plus the
-// MmapIoBackend that serves the IoBackend seam straight from a mapping.
+// MmapIoBackend that serves the IoBackend seam straight from a mapping,
+// and ReadFile, the heap-side counterpart that reads a whole file into
+// one private aligned buffer.
 //
 // This is the zero-copy open path: instead of reading an image into
 // heap memory, the file is mapped once and the deserializers point
@@ -106,6 +108,20 @@ class MmapRegion {
   uint64_t size_ = 0;
   bool locked_ = false;
 };
+
+// A file's bytes in memory, kept alive by `owner` (a ReadFile buffer or
+// an MmapRegion).
+struct FileBytes {
+  const uint8_t* data = nullptr;
+  uint64_t size = 0;
+  std::shared_ptr<const void> owner;
+};
+
+// Reads the whole of `path` into one private 8-aligned heap buffer, so
+// a borrowing parser (serde::MapReader) can point typed tables into it
+// exactly as it does into a mapping. kIoError when the file cannot be
+// opened or read in full.
+Result<FileBytes> ReadFile(const std::string& path);
 
 // The process-wide read-only mmap IoBackend (singleton; never
 // deleted). Open(create=true), Write and Sync fail with clean

@@ -386,9 +386,19 @@ class SerializerCorruptionTest : public ::testing::Test {
     image_ = out.str();
   }
 
+  // Loads `bytes` through the heap open path (LoadCompactSpine over a
+  // temp file named after the running test, so parallel test processes
+  // never share it) and returns the verdict code.
   StatusCode LoadCodeFor(const std::string& bytes) {
-    std::istringstream in(bytes);
-    Result<CompactSpineIndex> loaded = LoadCompactSpineFromStream(in);
+    const std::string path =
+        ::testing::TempDir() + "/spine_heap_verdict_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".idx";
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    Result<CompactSpineIndex> loaded = LoadCompactSpine(path);
     return loaded.ok() ? StatusCode::kOk : loaded.status().code();
   }
 

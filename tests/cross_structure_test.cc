@@ -2,6 +2,7 @@
 // configurations that earlier suites cover only for DNA: every index
 // family must report identical occurrence sets on identical inputs.
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,13 @@ struct CrossCase {
   uint32_t length;
   uint64_t seed;
 };
+
+// Without a PrintTo, gtest prints the parameter as raw bytes, padding
+// included, so the listed test names would differ between builds.
+void PrintTo(const CrossCase& c, std::ostream* os) {
+  *os << (c.protein ? "protein" : "dna") << "_len" << c.length << "_seed"
+      << c.seed;
+}
 
 class CrossStructureTest : public ::testing::TestWithParam<CrossCase> {};
 

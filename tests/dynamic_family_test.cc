@@ -328,6 +328,34 @@ TEST(DynamicFamilyTest, MmapOpenAgreesWithHeapOpen) {
   EXPECT_TRUE((*mapped)->VerifyStructure().ok());
 }
 
+// A heap reopen owns its frozen shards' tables, so MemoryBytes counts
+// them; an mmap reopen borrows them from the page cache and does not.
+TEST(DynamicFamilyTest, HeapReopenCountsFrozenTablesInMemoryBytes) {
+  ScopedTempDir dir;
+  const std::string path = dir.File("fam.spinefam");
+  Rng rng(64);
+  uint64_t chars = 0;
+  {
+    auto family = DynamicFamily::Create(path, Alphabet::Dna(), HeapOptions());
+    ASSERT_TRUE(family.ok());
+    for (int i = 0; i < 8; ++i) {
+      const std::string doc = RandomDna(rng, 1024);
+      chars += doc.size();
+      ASSERT_TRUE((*family)->InsertDocument(doc).ok());
+    }
+    ASSERT_TRUE((*family)->Flush().ok());
+  }
+  auto heap = DynamicFamily::Open(path, HeapOptions());
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  DynamicFamily::Options mmap_options;
+  mmap_options.open.mode = core::OpenMode::kMmap;
+  auto mapped = DynamicFamily::Open(path, mmap_options);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_EQ((*heap)->frozen_shard_count(), 1u);
+  // The Link Table alone is 6 bytes per character.
+  EXPECT_GT((*heap)->MemoryBytes(), (*mapped)->MemoryBytes() + 6 * chars);
+}
+
 TEST(DynamicFamilyTest, BackgroundTriggersFlushAndCompactOnTheirOwn) {
   ScopedTempDir dir;
   DynamicFamily::Options options;

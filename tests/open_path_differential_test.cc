@@ -10,12 +10,16 @@
 // RunBatch / ExpectIdenticalResults) so the kernel-matrix CI job can
 // run this suite once per forced comparison kernel.
 
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "compact/generalized_compact.h"
+#include "compact/serializer.h"
 #include "core/index.h"
 #include "core/registry.h"
 #include "backend_agreement.h"
@@ -152,6 +156,45 @@ TEST(OpenPathDifferentialTest, OpenAsHonorsOpenOptions) {
   QueryResult result = (*opened)->Execute(Query::Contains(corpus.substr(9, 12)));
   EXPECT_TRUE(result.ok());
   EXPECT_TRUE(result.found);
+}
+
+// Negative paths: a truncated compact or generalized image is
+// kCorruption under every open mode, and the message names the file.
+TEST(OpenPathDifferentialTest, TruncatedImagesFailNamingThePath) {
+  const std::string corpus = TestCorpus(3000, 13);
+  ScopedTempDir dir;
+  CompactSpineIndex compact(Alphabet::Dna());
+  ASSERT_TRUE(compact.AppendString(corpus).ok());
+  ASSERT_TRUE(SaveCompactSpine(compact, dir.File("full.spine")).ok());
+  GeneralizedCompactSpine generalized(Alphabet::Dna());
+  ASSERT_TRUE(generalized.AddString(corpus.substr(0, 1500), "a").ok());
+  ASSERT_TRUE(generalized.AddString(corpus.substr(1500), "b").ok());
+  ASSERT_TRUE(generalized.Save(dir.File("full.spineg")).ok());
+
+  for (const char* name : {"spine", "spineg"}) {
+    const std::string full = dir.File(std::string("full.") + name);
+    const std::string truncated = dir.File(std::string("short.") + name);
+    std::string bytes;
+    {
+      std::ifstream in(full, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    {
+      std::ofstream out(truncated, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+    }
+    for (const char* spec : {"heap", "mmap"}) {
+      Result<OpenOptions> options = ParseOpenSpec(spec);
+      ASSERT_TRUE(options.ok());
+      auto opened = BackendRegistry::Default().Open(truncated, *options);
+      ASSERT_FALSE(opened.ok()) << name << "/" << spec;
+      EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+          << name << "/" << spec;
+      EXPECT_NE(opened.status().message().find(truncated), std::string::npos)
+          << name << "/" << spec << ": " << opened.status().ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -14,8 +14,9 @@
 // The default mode interleaves every phase; `manifest` mode spends the
 // whole budget corrupting .spinefam families (truncations, bit flips,
 // byte overwrites in the manifest and in shard files) and demands that
-// ShardedIndex::Load rejects each with kCorruption — never a crash,
-// never a silently wrong index. `frames` mode corrupts serving-wire
+// ShardedIndex::Load and DynamicFamily::Open reject each with
+// kCorruption, with the same verdict under heap and mmap opens — never
+// a crash, never a silently wrong index. `frames` mode corrupts serving-wire
 // byte streams and JSON lines (core/wire.h) the same way and demands
 // every mutation is either decoded consistently or rejected with
 // kProtocolError — never a crash, never a silently misread envelope.
@@ -76,7 +77,7 @@ int FuzzSerializedImage(spine::Rng& rng, const spine::CompactSpineIndex& index,
     return Fail("image save failed", s, "");
   }
   const std::string image = saved.str();
-  const std::string mmap_path =
+  const std::string image_path =
       (std::filesystem::temp_directory_path() /
        ("spine_fuzz_img_" + std::to_string(::getpid()) + ".tmp"))
           .string();
@@ -101,18 +102,17 @@ int FuzzSerializedImage(spine::Rng& rng, const spine::CompactSpineIndex& index,
         }
         break;
     }
-    std::istringstream in(mutated);
-    Result<CompactSpineIndex> loaded = LoadCompactSpineFromStream(in);
+    {
+      std::ofstream out(image_path, std::ios::binary | std::ios::trunc);
+      out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+    }
+    Result<CompactSpineIndex> loaded = LoadCompactSpine(image_path);
     const StatusCode heap_code =
         loaded.ok() ? StatusCode::kOk : loaded.status().code();
 
-    {
-      std::ofstream out(mmap_path, std::ios::binary | std::ios::trunc);
-      out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-    }
     StatusCode mmap_code = StatusCode::kOk;
     Result<CompactSpineIndex> mapped = Status::OK();
-    auto region = storage::MmapRegion::Map(mmap_path);
+    auto region = storage::MmapRegion::Map(image_path);
     if (!region.ok()) {
       mmap_code = region.status().code();
     } else {
@@ -166,7 +166,8 @@ void MutateBytes(spine::Rng& rng, std::string* bytes) {
 // manifest or one shard file on disk, and demand that
 // ShardedIndex::Load rejects the family with kCorruption. Loading an
 // untouched family (a mutation that happened to be the identity) must
-// still succeed.
+// still succeed. Every mutated family is opened under heap and under
+// mmap (verify on), and both opens must reach the same verdict.
 int FuzzShardManifest(spine::Rng& rng, const std::string& s,
                       const std::filesystem::path& dir, uint64_t* checks) {
   using namespace spine;
@@ -191,6 +192,8 @@ int FuzzShardManifest(spine::Rng& rng, const std::string& s,
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     out << bytes;
   };
+  core::OpenOptions mmap_open;
+  mmap_open.mode = core::OpenMode::kMmap;
   for (int trial = 0; trial < 6; ++trial) {
     ++*checks;
     const std::string& victim = files[rng.Below(files.size())];
@@ -198,8 +201,14 @@ int FuzzShardManifest(spine::Rng& rng, const std::string& s,
     std::string mutated = original;
     MutateBytes(rng, &mutated);
     write_all(victim, mutated);
-    auto loaded = shard::ShardedIndex::Load(path);
+    const Status loaded = shard::ShardedIndex::Load(path).status();
+    const Status mapped = shard::ShardedIndex::Load(path, mmap_open).status();
     write_all(victim, original);
+    if (mapped.code() != loaded.code()) {
+      return Fail("heap/mmap family verdicts diverge: '" + loaded.ToString() +
+                      "' vs '" + mapped.ToString() + "'",
+                  s, "");
+    }
     if (mutated == original) {
       if (!loaded.ok()) return Fail("pristine family rejected", s, "");
       continue;
@@ -207,8 +216,8 @@ int FuzzShardManifest(spine::Rng& rng, const std::string& s,
     if (loaded.ok()) {
       return Fail("corrupt family (" + victim + ") loaded silently", s, "");
     }
-    if (loaded.status().code() != StatusCode::kCorruption) {
-      return Fail("corrupt family yielded '" + loaded.status().ToString() +
+    if (loaded.code() != StatusCode::kCorruption) {
+      return Fail("corrupt family yielded '" + loaded.ToString() +
                       "' instead of kCorruption",
                   s, "");
     }
@@ -223,6 +232,7 @@ int FuzzShardManifest(spine::Rng& rng, const std::string& s,
 // on disk, and demand that DynamicFamily::Open rejects the family with
 // kCorruption — never a crash, never a torn or silently wrong load.
 // Reopening an untouched family (an identity mutation) must succeed.
+// As for static families, heap and mmap opens must agree.
 int FuzzDynamicManifest(spine::Rng& rng, const std::string& s,
                         const std::filesystem::path& dir, uint64_t* checks) {
   using namespace spine;
@@ -284,6 +294,8 @@ int FuzzDynamicManifest(spine::Rng& rng, const std::string& s,
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     out << bytes;
   };
+  shard::DynamicFamily::Options mmap_options = options;
+  mmap_options.open.mode = core::OpenMode::kMmap;
   for (int trial = 0; trial < 6; ++trial) {
     ++*checks;
     const std::string& victim = files[rng.Below(files.size())];
@@ -291,8 +303,15 @@ int FuzzDynamicManifest(spine::Rng& rng, const std::string& s,
     std::string mutated = original;
     MutateBytes(rng, &mutated);
     write_all(victim, mutated);
-    auto loaded = shard::DynamicFamily::Open(path, options);
+    const Status loaded = shard::DynamicFamily::Open(path, options).status();
+    const Status mapped =
+        shard::DynamicFamily::Open(path, mmap_options).status();
     write_all(victim, original);
+    if (mapped.code() != loaded.code()) {
+      return Fail("heap/mmap dynamic family verdicts diverge: '" +
+                      loaded.ToString() + "' vs '" + mapped.ToString() + "'",
+                  s, "");
+    }
     if (mutated == original) {
       if (!loaded.ok()) return Fail("pristine dynamic family rejected", s, "");
       continue;
@@ -301,9 +320,9 @@ int FuzzDynamicManifest(spine::Rng& rng, const std::string& s,
       return Fail("corrupt dynamic family (" + victim + ") loaded silently",
                   s, "");
     }
-    if (loaded.status().code() != StatusCode::kCorruption) {
-      return Fail("corrupt dynamic family yielded '" +
-                      loaded.status().ToString() + "' instead of kCorruption",
+    if (loaded.code() != StatusCode::kCorruption) {
+      return Fail("corrupt dynamic family yielded '" + loaded.ToString() +
+                      "' instead of kCorruption",
                   s, "");
     }
   }
